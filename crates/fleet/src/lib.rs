@@ -11,7 +11,8 @@
 //!
 //! The loop is a global minimum over every bottleneck's next departure
 //! and every unfinished session's next event, with a deterministic
-//! tie-break (bottlenecks before sessions, then index order). That
+//! tie-break (bottlenecks before sessions, then index order), computed
+//! by [`mpdash_link::next_event`]. That
 //! ordering is also the correctness condition for the bottleneck's lazy
 //! queue-discipline selection: offers reach each bottleneck in globally
 //! non-decreasing time, and departures at time `t` are processed before
@@ -25,7 +26,9 @@
 //! sharded sweeps parallelise over `MPDASH_WORKERS` with bit-identical
 //! artifacts at any worker count.
 
-use mpdash_link::{FaultScript, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats};
+use mpdash_link::{
+    next_event, FaultScript, Next, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats,
+};
 use mpdash_obs::{
     telemetry_from_env, EpochSeries, InvariantViolation, MetricsSnapshot, TelemetrySpec,
     TraceEvent, Watchdog,
@@ -35,7 +38,7 @@ use mpdash_session::{
     CacheStats, Job, JobReport, ServerFaultScript, SessionConfig, SessionReport,
     SharedSegmentCache, StreamingSession,
 };
-use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
+use mpdash_sim::{derive_seed, Prng, SimDuration};
 
 /// One shared resource in the fleet topology: a bottleneck plus the
 /// per-client paths that subscribe to it (e.g. every client's WiFi path
@@ -774,10 +777,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         route.push(flows);
     }
 
-    // The fleet event loop: pop the globally earliest event. Tie-break
-    // is (time, bottleneck-before-session, index), which both makes the
-    // interleaving deterministic and guarantees departures at time t
-    // precede any new offers made at t.
+    // The fleet event loop: pop the globally earliest event, in
+    // `next_event`'s (time, bottleneck-before-session, index) order —
+    // deterministic, and departures at time t precede any new offers
+    // made at t. Done sessions take no part.
     let mut done = vec![false; cfg.clients];
     // Admission state: a session is "active" once its arrival event was
     // admitted and until it finishes. The overload policy only ever
@@ -810,34 +813,21 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         }
     };
     loop {
-        let mut best: Option<(SimTime, usize, usize)> = None;
-        for (i, bn) in bottlenecks.iter().enumerate() {
-            if let Some(t) = bn.next_departure() {
-                let key = (t, 0, i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        for (k, session) in sessions.iter().enumerate() {
-            if done[k] {
-                continue;
-            }
-            if let Some(t) = session.peek_time() {
-                let key = (t, 1, k);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
+        let best = next_event(
+            &bottlenecks,
+            sessions
+                .iter()
+                .zip(&done)
+                .map(|(session, &d)| if d { None } else { session.peek_time() }),
+        );
         charge(&mut wall, |w| &mut w.peek_ns);
         profile.loop_iterations += 1;
-        if let (Some(wd), Some(&(t, _, _))) = (watchdog.as_mut(), best.as_ref()) {
+        if let (Some(wd), Some(&(t, _))) = (watchdog.as_mut(), best.as_ref()) {
             wd.check_time(t)?;
         }
         match best {
             None => break,
-            Some((t, 0, i)) => {
+            Some((t, Next::Departure(i))) => {
                 let d = bottlenecks[i].pop_departure().expect("departure peeked");
                 let (k, path) = route[i][d.flow];
                 sessions[k].on_shared_departure(path, d.ticket, d.at, d.marked);
@@ -861,7 +851,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 }
                 charge(&mut wall, |w| &mut w.pop_ns);
             }
-            Some((t, _, k)) => {
+            Some((t, Next::Peer(k))) => {
                 if !arrived[k] {
                     // First event of session k is its arrival wake —
                     // admission control runs before it can issue any
@@ -1013,6 +1003,7 @@ mod tests {
     use mpdash_dash::video::Video;
     use mpdash_link::QueueDiscipline;
     use mpdash_session::{run_batch_with, TransportMode};
+    use mpdash_sim::SimTime;
 
     fn tiny_video() -> Video {
         Video::new(

@@ -16,7 +16,8 @@
 
 use mpdash_http::{HttpEvent, HttpLayer};
 use mpdash_link::{
-    AqmConfig, LinkConfig, PathId, QueueDiscipline, SharedBottleneck, SharedBottleneckConfig,
+    next_event, AqmConfig, LinkConfig, Next, PathId, QueueDiscipline, SharedBottleneck,
+    SharedBottleneckConfig,
 };
 use mpdash_mptcp::{MptcpConfig, MptcpSim, StepOutcome};
 use mpdash_sim::{Prng, SimDuration, SimTime};
@@ -84,8 +85,8 @@ impl Client {
 }
 
 /// Interleave all clients on one virtual clock with the fleet loop's
-/// tie-break (bottleneck departures first, then client index) until
-/// every schedule drains.
+/// `next_event` tie-break (bottleneck departures first, then client
+/// index) until every schedule drains.
 fn run_fleet(
     discipline: QueueDiscipline,
     rate_mbps: f64,
@@ -112,21 +113,13 @@ fn run_fleet(
     loop {
         guard += 1;
         prop_assert!(guard < 5_000_000, "runaway fleet schedule");
-        // Globally earliest event; bottleneck wins ties so departures at
-        // `t` precede any new offers at `t`.
-        let mut best: Option<(SimTime, usize, usize)> = bn.next_departure().map(|t| (t, 0, 0));
-        for (k, c) in clients.iter().enumerate() {
-            if let Some(t) = c.sim.peek_time() {
-                let key = (t, 1, k);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        let Some((t, kind, k)) = best else { break };
+        let peers = clients.iter().map(|c| c.sim.peek_time());
+        let Some((t, next)) = next_event(std::slice::from_ref(&bn), peers) else {
+            break;
+        };
         prop_assert!(t >= now, "fleet clock went backwards: {t} < {now}");
         now = t;
-        if kind == 0 {
+        let Next::Peer(k) = next else {
             let dep = bn.pop_departure().expect("a departure is due");
             clients[dep.flow]
                 .sim
@@ -137,7 +130,7 @@ fn run_fleet(
                     .on_shared_drop(PathId::WIFI, drop.ticket, drop.at);
             }
             continue;
-        }
+        };
         let c = &mut clients[k];
         let Some((_, outcome)) = c.sim.step() else {
             continue;

@@ -20,7 +20,8 @@
 //! time**, and departures are popped before any offer with a later
 //! timestamp is made. Under that ordering, choosing the next packet at
 //! each service-start instant is exactly the behaviour of a continuously
-//! running server.
+//! running server. Drivers get that ordering from [`next_event`], the
+//! one place it is written down.
 //!
 //! Two disciplines are provided: classic FIFO/DropTail, and a per-flow
 //! deficit-round-robin (DRR) queue in the FQ-PIE spirit — each
@@ -808,6 +809,39 @@ impl SharedBottleneck {
     }
 }
 
+/// Which event [`next_event`] picked. The derived order is the tie-break
+/// at equal times: every departure before every peer, then lower index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Next {
+    /// Bottleneck `i`'s in-service packet finishes serializing.
+    Departure(usize),
+    /// Peer `k`'s earliest pending event fires.
+    Peer(usize),
+}
+
+/// The co-simulation interleave: the globally earliest event over every
+/// bottleneck's [`SharedBottleneck::next_departure`] and every peer's
+/// next event time (`None` for an idle or finished peer), ordered by
+/// `(time, departure-before-peer, index)`.
+///
+/// Departures at `t` preceding any peer event at `t` is what upholds the
+/// module's invariant: a peer's offer at `t` finds every departure due by
+/// `t` already popped. Returns `None` when everything is idle.
+pub fn next_event(
+    bottlenecks: &[SharedBottleneck],
+    peers: impl IntoIterator<Item = Option<SimTime>>,
+) -> Option<(SimTime, Next)> {
+    let departures = bottlenecks
+        .iter()
+        .enumerate()
+        .filter_map(|(i, bn)| Some((bn.next_departure()?, Next::Departure(i))));
+    let peers = peers
+        .into_iter()
+        .enumerate()
+        .filter_map(|(k, t)| Some((t?, Next::Peer(k))));
+    departures.chain(peers).min()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,6 +855,43 @@ mod tests {
 
     fn fifo_8mbps() -> SharedBottleneck {
         SharedBottleneck::new(SharedBottleneckConfig::fifo_mbps(8.0))
+    }
+
+    #[test]
+    fn next_event_orders_by_time_then_departures_then_index() {
+        let idle = [fifo_8mbps(), fifo_8mbps()];
+        assert_eq!(next_event(&[], []), None);
+        assert_eq!(next_event(&idle, [None, None]), None, "all idle");
+        // `None` peers are skipped; equal peer times go to the lower index.
+        assert_eq!(
+            next_event(&idle, [None, Some(t(5)), Some(t(3)), Some(t(3))]),
+            Some((t(3), Next::Peer(2)))
+        );
+
+        // Both bottlenecks depart at 1.5 ms (1500 B at 8 Mbps).
+        let bns = [fifo_8mbps(), fifo_8mbps()];
+        for b in &bns {
+            let f = b.subscribe();
+            b.offer(t(0), f, MSS);
+        }
+        let due = t(0) + SimDuration::from_micros(1500);
+        assert_eq!(
+            next_event(&bns, [Some(due), Some(due)]),
+            Some((due, Next::Departure(0))),
+            "a departure beats a peer at the same time; lower bottleneck first"
+        );
+        assert_eq!(
+            next_event(&bns, [None, Some(t(1))]),
+            Some((t(1), Next::Peer(1))),
+            "an earlier peer beats a later departure"
+        );
+        bns[0].pop_departure().unwrap();
+        assert_eq!(
+            next_event(&bns, [Some(due)]),
+            Some((due, Next::Departure(1)))
+        );
+        bns[1].pop_departure().unwrap();
+        assert_eq!(next_event(&bns, [Some(due)]), Some((due, Next::Peer(0))));
     }
 
     #[test]

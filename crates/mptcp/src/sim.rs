@@ -511,20 +511,6 @@ impl MptcpSim {
         Some((now, outcome))
     }
 
-    /// Run until the queue drains or `deadline` passes; convenience for
-    /// tests. Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> usize {
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        n
-    }
-
     fn pump(&mut self, now: SimTime) {
         // Cross-layer signal for queue-aware schedulers: sample each
         // path's shared-bottleneck occupancy once per pump and hand it to
@@ -696,6 +682,7 @@ impl MptcpSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_link::{next_event, Next};
 
     fn two_path_sim(wifi_mbps: f64, cell_mbps: f64) -> MptcpSim {
         let wifi = LinkConfig::constant(wifi_mbps, SimDuration::from_millis(25));
@@ -877,8 +864,9 @@ mod tests {
     }
 
     /// Two single-path connections share one bottleneck; a miniature
-    /// fleet loop (global-min over the bottleneck's departures and both
-    /// connections' queues) drives them to completion.
+    /// fleet loop (the shared `next_event` interleave over the
+    /// bottleneck's departures and both connections' queues) drives them
+    /// to completion.
     #[test]
     fn two_connections_share_a_bottleneck() {
         use mpdash_link::SharedBottleneckConfig;
@@ -904,26 +892,15 @@ mod tests {
         sims[0].send_app(total);
         sims[1].send_app(total);
 
-        loop {
-            let mut best: Option<(SimTime, usize)> = None; // kind: 0 = bottleneck, 1+i = sim i
-            if let Some(t) = bn.next_departure() {
-                best = Some((t, 0));
-            }
-            for (i, sim) in sims.iter().enumerate() {
-                if let Some(t) = sim.peek_time() {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, 1 + i));
-                    }
-                }
-            }
-            match best {
-                None => break,
-                Some((_, 0)) => {
+        let bns = std::slice::from_ref(&bn);
+        while let Some((_, next)) = next_event(bns, sims.iter().map(MptcpSim::peek_time)) {
+            match next {
+                Next::Departure(_) => {
                     let d = bn.pop_departure().unwrap();
                     sims[route[d.flow]].on_shared_departure(PathId(0), d.ticket, d.at, d.marked);
                 }
-                Some((_, k)) => {
-                    sims[k - 1].step();
+                Next::Peer(k) => {
+                    sims[k].step();
                 }
             }
         }
@@ -945,19 +922,9 @@ mod tests {
     /// Returns the cumulative count of marked departures observed.
     fn drain_shared(sim: &mut MptcpSim, bn: &SharedBottleneck, total: u64) -> u64 {
         let mut marks = 0;
-        loop {
-            let mut best: Option<(SimTime, usize)> = None;
-            if let Some(t) = bn.next_departure() {
-                best = Some((t, 0));
-            }
-            if let Some(t) = sim.peek_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, 1));
-                }
-            }
-            match best {
-                None => break,
-                Some((_, 0)) => {
+        while let Some((_, next)) = next_event(std::slice::from_ref(bn), [sim.peek_time()]) {
+            match next {
+                Next::Departure(_) => {
                     let d = bn.pop_departure().unwrap();
                     marks += d.marked as u64;
                     sim.on_shared_departure(PathId(0), d.ticket, d.at, d.marked);
@@ -965,7 +932,7 @@ mod tests {
                         sim.on_shared_drop(PathId(0), drop.ticket, drop.at);
                     }
                 }
-                Some(_) => {
+                Next::Peer(_) => {
                     sim.step();
                 }
             }

@@ -50,6 +50,14 @@ impl TelemetrySpec {
     pub fn seconds(secs: f64) -> Self {
         TelemetrySpec::new(SimDuration::from_secs_f64(secs))
     }
+
+    /// A spec with an epoch of `secs` seconds, or `None` when the epoch
+    /// would be zero: `secs` is not a finite positive number, or it
+    /// rounds to 0 ns (e.g. `1e-12`).
+    pub fn try_seconds(secs: f64) -> Option<Self> {
+        let epoch = SimDuration::from_secs_f64(secs);
+        (!epoch.is_zero()).then_some(TelemetrySpec { epoch })
+    }
 }
 
 impl Default for TelemetrySpec {
@@ -66,7 +74,8 @@ impl Default for TelemetrySpec {
 /// process (the same pattern as [`Tracer::from_env`](crate::Tracer::from_env)):
 ///
 /// * unset / `""` / `"0"` / `"off"` — `None` (telemetry disabled);
-/// * a positive number — epoch width in (possibly fractional) seconds;
+/// * a positive number — epoch width in (possibly fractional) seconds,
+///   at least 1 ns after rounding;
 /// * `"1"` is therefore the natural "just turn it on" value: one-second
 ///   epochs.
 ///
@@ -81,16 +90,17 @@ pub fn telemetry_from_env() -> Option<TelemetrySpec> {
         let raw = std::env::var("MPDASH_TELEMETRY").unwrap_or_default();
         match raw.trim() {
             "" | "0" | "off" => None,
-            v => match v.parse::<f64>() {
-                Ok(secs) if secs > 0.0 && secs.is_finite() => Some(TelemetrySpec::seconds(secs)),
-                _ => {
+            v => v
+                .parse::<f64>()
+                .ok()
+                .and_then(TelemetrySpec::try_seconds)
+                .or_else(|| {
                     eprintln!(
                         "warning: unusable MPDASH_TELEMETRY value '{v}' \
                          (expected off|0|<epoch seconds>); telemetry disabled"
                     );
                     None
-                }
-            },
+                }),
         }
     })
 }
@@ -328,6 +338,17 @@ mod tests {
 
     fn spec2() -> TelemetrySpec {
         TelemetrySpec::new(SimDuration::from_secs(2))
+    }
+
+    #[test]
+    fn try_seconds_rejects_epochs_that_round_to_zero() {
+        assert_eq!(
+            TelemetrySpec::try_seconds(2.0),
+            Some(TelemetrySpec::seconds(2.0))
+        );
+        for bad in [0.0, -1.0, 1e-12, f64::NAN, f64::INFINITY] {
+            assert_eq!(TelemetrySpec::try_seconds(bad), None, "{bad}");
+        }
     }
 
     #[test]

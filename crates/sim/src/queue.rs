@@ -7,19 +7,20 @@
 //! that schedule the same events in the same order pop them in the same
 //! order, regardless of the payload type's own ordering (the payload does
 //! not even need to implement `Ord`).
+//!
+//! There is no cancellation: every scheduled event is popped eventually
+//! (or abandoned with its queue), so the heap top is always the earliest
+//! event and [`EventQueue::peek_time`] is O(1). A component whose timer
+//! may go stale re-checks, when the event fires, whether it is still due
+//! (the transport's lazy retransmission timer works this way).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A handle to a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct EventId(u64);
-
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    cancelled: bool,
     payload: E,
 }
 
@@ -54,13 +55,11 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
-    // Number of live (non-cancelled) entries, so len() is O(1) and honest.
-    live: usize,
     // Profiling counters: how much work this queue has seen. Observed
     // only — they never influence ordering, so instrumented and plain
     // runs are identical.
     popped: u64,
-    peak_live: usize,
+    peak_len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -76,9 +75,8 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            live: 0,
             popped: 0,
-            peak_live: 0,
+            peak_len: 0,
         }
     }
 
@@ -89,94 +87,48 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` to fire at `at` (clamped to `now` if in the
-    /// past). Returns a handle usable with [`EventQueue::cancel`].
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+    /// past).
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            cancelled: false,
-            payload,
-        });
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        EventId(seq)
+        self.heap.push(Entry { at, seq, payload });
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
-    /// Lazily cancel a scheduled event. Cancellation is O(n) in the worst
-    /// case here because we must find the entry; for the simulation's usage
-    /// pattern (rare cancellations of timers) this is fine, and the heap
-    /// itself skips cancelled entries on pop.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        // BinaryHeap has no in-place mutation; rebuild only when we find it.
-        let mut found = false;
-        let entries: Vec<Entry<E>> = self.heap.drain().collect();
-        self.heap = entries
-            .into_iter()
-            .map(|mut e| {
-                if e.seq == id.0 && !e.cancelled {
-                    e.cancelled = true;
-                    found = true;
-                }
-                e
-            })
-            .collect();
-        if found {
-            self.live -= 1;
-        }
-        found
-    }
-
-    /// Pop the earliest live event, advancing the clock to its fire time.
+    /// Pop the earliest event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if entry.cancelled {
-                continue;
-            }
-            self.live -= 1;
-            self.popped += 1;
-            debug_assert!(entry.at >= self.now, "event queue time went backwards");
-            self.now = entry.at;
-            return Some((entry.at, entry.payload));
-        }
-        None
+        let entry = self.heap.pop()?;
+        self.popped += 1;
+        debug_assert!(entry.at >= self.now, "event queue time went backwards");
+        self.now = entry.at;
+        Some((entry.at, entry.payload))
     }
 
-    /// Fire time of the earliest live event without popping it.
+    /// Fire time of the earliest event without popping it. O(1): the heap
+    /// top is the minimum `(time, seq)`.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Cancelled entries may sit at the top; peek must skip them without
-        // mutating, so clone-free scan of the top is not possible with
-        // BinaryHeap. We conservatively report the top entry's time, which
-        // is a lower bound; `pop` remains exact. To keep peek exact we
-        // instead look through the heap's iterator for the minimum live
-        // entry (O(n), used only in tests and idle checks).
-        self.heap
-            .iter()
-            .filter(|e| !e.cancelled)
-            .map(|e| e.at)
-            .min()
+        self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of live events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// Total live events popped over the queue's lifetime.
+    /// Total events popped over the queue's lifetime.
     pub fn popped(&self) -> u64 {
         self.popped
     }
 
-    /// High-water mark of live events (peak queue depth).
+    /// High-water mark of pending events (peak queue depth).
     pub fn peak_len(&self) -> usize {
-        self.peak_live
+        self.peak_len
     }
 }
 
@@ -222,67 +174,46 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double-cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn cancel_stress_preserves_order_of_survivors() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..200u64)
-            .map(|i| q.schedule(SimTime::from_millis(i), i))
-            .collect();
-        // Cancel every third event.
-        for (i, id) in ids.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(q.cancel(*id));
-            }
-        }
-        assert_eq!(q.len(), 200 - 67);
-        let mut last = None;
-        let mut popped = 0;
-        while let Some((t, v)) = q.pop() {
-            assert!(v % 3 != 0, "cancelled event {v} escaped");
-            if let Some(prev) = last {
-                assert!(t >= prev);
-            }
-            last = Some(t);
-            popped += 1;
-        }
-        assert_eq!(popped, 133);
-    }
-
-    #[test]
     fn profiling_counters_track_pops_and_peak_depth() {
         let mut q = EventQueue::new();
         for i in 0..4u64 {
             q.schedule(SimTime::from_secs(i), i);
         }
         assert_eq!(q.peak_len(), 4);
-        let a = q.schedule(SimTime::from_secs(9), 9);
+        q.schedule(SimTime::from_secs(9), 9);
         assert_eq!(q.peak_len(), 5);
-        q.cancel(a);
         while q.pop().is_some() {}
-        // Cancelled events never count as popped.
-        assert_eq!(q.popped(), 4);
+        assert_eq!(q.popped(), 5);
         assert_eq!(q.peak_len(), 5, "peak survives draining");
+    }
+
+    #[test]
+    fn peek_time_always_matches_the_next_pop() {
+        for seed in 0..32 {
+            let mut rng = crate::Prng::new(seed);
+            let mut q = EventQueue::new();
+            for i in 0..2_000u64 {
+                if rng.next_below(3) > 0 {
+                    // Millisecond offsets in a narrow window force ties;
+                    // a quarter land behind `now` and are clamped.
+                    let now = q.now().as_nanos();
+                    let offset = rng.next_below(5) * 1_000_000;
+                    let at = if rng.next_below(4) == 0 {
+                        now.saturating_sub(offset)
+                    } else {
+                        now + offset
+                    };
+                    q.schedule(SimTime::from_nanos(at), i);
+                } else {
+                    let peeked = q.peek_time();
+                    assert_eq!(peeked, q.pop().map(|(t, _)| t), "seed {seed}");
+                }
+            }
+            while let Some(peeked) = q.peek_time() {
+                assert_eq!(Some(peeked), q.pop().map(|(t, _)| t), "seed {seed}");
+            }
+            assert!(q.is_empty() && q.pop().is_none());
+        }
     }
 
     #[test]

@@ -356,8 +356,9 @@ impl FaultDomainSpec {
 pub struct OverloadSpec {
     /// Admission cap on concurrently active sessions.
     pub max_active: usize,
-    /// Also shed when the shared queues' total backlog exceeds this
-    /// many bytes (absent: cap on concurrency alone).
+    /// Also shed when any one shared bottleneck's occupancy (waiting
+    /// plus in-service bytes) is at or past this many bytes — the
+    /// busiest queue, not the sum (absent: cap on concurrency alone).
     pub queue_threshold_bytes: Option<u64>,
 }
 
@@ -816,12 +817,11 @@ fn parse_cache(v: Option<&Json>) -> Result<Option<CacheSpec>, String> {
 fn parse_telemetry(v: Option<&Json>) -> Result<Option<TelemetrySpec>, String> {
     let Some(v) = v else { return Ok(None) };
     let epoch_s = num(field(v, "epoch_s")?, "epoch_s")?;
-    if !epoch_s.is_finite() || epoch_s <= 0.0 {
-        return Err(format!(
-            "telemetry 'epoch_s' must be a positive number, got {epoch_s}"
-        ));
-    }
-    Ok(Some(TelemetrySpec::seconds(epoch_s)))
+    TelemetrySpec::try_seconds(epoch_s)
+        .map(Some)
+        .ok_or_else(|| {
+            format!("telemetry 'epoch_s' must be a positive number of at least 1 ns, got {epoch_s}")
+        })
 }
 
 fn parse_lifecycle(v: Option<&Json>) -> Result<LifecyclePolicy, String> {
@@ -1735,6 +1735,16 @@ mod tests {
         assert!(Scenario::from_json(DOC).unwrap().telemetry.is_none());
         let err = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 0.0},"#)).unwrap_err();
         assert!(err.contains("'epoch_s' must be a positive number"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_telemetry_epoch_that_rounds_to_zero() {
+        let err =
+            Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 1e-12},"#)).unwrap_err();
+        assert!(err.contains("'epoch_s'"), "{err}");
+        // Half a nanosecond rounds up to 1 ns: the smallest usable epoch.
+        let sc = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 5e-10},"#)).unwrap();
+        assert_eq!(sc.telemetry.unwrap().epoch, SimDuration::from_nanos(1));
     }
 
     const CHURN_PATCH: &str = r#""fleet": {
