@@ -89,7 +89,7 @@ fn solo_cfg(sched: SchedulerSpec, mode: TransportMode) -> SessionConfig {
 /// whatever the other clients piled up meanwhile and only learns the
 /// price one inflated RTT sample later. QAware reads the shared queue's
 /// occupancy directly at pick time and detours first.
-fn fleet_cfg(clients: usize, sched: SchedulerSpec, mode: TransportMode) -> FleetConfig {
+pub fn fleet_cfg(clients: usize, sched: SchedulerSpec, mode: TransportMode) -> FleetConfig {
     let base = SessionConfig::controlled_mbps(50.0, 30.0, AbrKind::Festive, mode)
         .with_video(sched_video())
         .with_scheduler(sched);

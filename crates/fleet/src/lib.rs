@@ -11,12 +11,13 @@
 //!
 //! The loop is a global minimum over every bottleneck's next departure
 //! and every unfinished session's next event, with a deterministic
-//! tie-break (bottlenecks before sessions, then index order), computed
-//! by [`mpdash_link::next_event`]. That
-//! ordering is also the correctness condition for the bottleneck's lazy
-//! queue-discipline selection: offers reach each bottleneck in globally
-//! non-decreasing time, and departures at time `t` are processed before
-//! any session event at `t` can offer more packets.
+//! tie-break (bottlenecks before sessions, then index order), kept by
+//! an [`mpdash_link::Calendar`] that the loop re-keys only where an
+//! event can have moved a time. That ordering is also the correctness
+//! condition for the bottleneck's lazy queue-discipline selection:
+//! offers reach each bottleneck in globally non-decreasing time, and
+//! departures at time `t` are processed before any session event at `t`
+//! can offer more packets.
 //!
 //! The output is a [`FleetReport`]: per-client [`SessionReport`]s plus
 //! the cross-client aggregates the fairness questions need — Jain's
@@ -27,7 +28,7 @@
 //! artifacts at any worker count.
 
 use mpdash_link::{
-    next_event, FaultScript, Next, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats,
+    Calendar, FaultScript, Next, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats,
 };
 use mpdash_obs::{
     telemetry_from_env, EpochSeries, InvariantViolation, MetricsSnapshot, TelemetrySpec,
@@ -462,7 +463,9 @@ impl FleetProfile {
 /// beside — never inside — deterministic artifacts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FleetWallProfile {
-    /// Nanoseconds spent scanning for the globally earliest event.
+    /// Nanoseconds spent choosing the globally earliest event: reading
+    /// the calendar's root plus re-keying the slots the previous event
+    /// moved.
     pub peek_ns: u64,
     /// Nanoseconds spent popping bottleneck departures.
     pub pop_ns: u64,
@@ -777,8 +780,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         route.push(flows);
     }
 
-    // The fleet event loop: pop the globally earliest event, in
-    // `next_event`'s (time, bottleneck-before-session, index) order —
+    // The fleet event loop: pop the globally earliest event, in the
+    // calendar's (time, bottleneck-before-session, index) order —
     // deterministic, and departures at time t precede any new offers
     // made at t. Done sessions take no part.
     let mut done = vec![false; cfg.clients];
@@ -786,6 +789,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // admitted and until it finishes. The overload policy only ever
     // sheds a *not-yet-arrived* session, at its arrival instant.
     let mut arrived = vec![false; cfg.clients];
+    let mut active = 0usize;
     let mut shed = vec![false; cfg.clients];
     let mut shed_sessions = 0u64;
     let mut watchdog = cfg
@@ -812,14 +816,29 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             *m = now;
         }
     };
+    // Seed the calendar once; afterwards each event re-keys only the
+    // slots it can have moved. Sessions share nothing but bottlenecks
+    // and the passive segment cache, so a departure moves its own
+    // bottleneck and the owners it notifies, and a step moves the
+    // stepped session and any idle bottleneck it offered to. Re-keys
+    // run after the event's phase is charged, so they count as peek
+    // time.
+    let mut calendar = Calendar::new(bottlenecks.len(), cfg.clients);
+    for (i, bn) in bottlenecks.iter().enumerate() {
+        calendar.set_departure(i, bn.next_departure());
+    }
+    for (k, session) in sessions.iter().enumerate() {
+        calendar.set_peer(k, session.peek_time());
+    }
+    let peer_time = |sessions: &[StreamingSession], done: &[bool], k: usize| {
+        if done[k] {
+            None
+        } else {
+            sessions[k].peek_time()
+        }
+    };
     loop {
-        let best = next_event(
-            &bottlenecks,
-            sessions
-                .iter()
-                .zip(&done)
-                .map(|(session, &d)| if d { None } else { session.peek_time() }),
-        );
+        let best = calendar.next();
         charge(&mut wall, |w| &mut w.peek_ns);
         profile.loop_iterations += 1;
         if let (Some(wd), Some(&(t, _))) = (watchdog.as_mut(), best.as_ref()) {
@@ -835,7 +854,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // departure; route each casualty back to its owner so the
                 // per-flow ticket FIFO stays aligned. Empty (and
                 // allocation-free) unless a dequeue-time AQM is active.
-                for drop in bottlenecks[i].take_aqm_drops() {
+                let drops = bottlenecks[i].take_aqm_drops();
+                for drop in &drops {
                     let (dk, dpath) = route[i][drop.flow];
                     sessions[dk].on_shared_drop(dpath, drop.ticket, drop.at);
                     if let Some(e) = profile.epochs.as_mut() {
@@ -850,6 +870,12 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     wd.check_conservation(i, bottlenecks[i].conservation_counters())?;
                 }
                 charge(&mut wall, |w| &mut w.pop_ns);
+                calendar.set_departure(i, bottlenecks[i].next_departure());
+                calendar.set_peer(k, peer_time(&sessions, &done, k));
+                for drop in &drops {
+                    let dk = route[i][drop.flow].0;
+                    calendar.set_peer(dk, peer_time(&sessions, &done, dk));
+                }
             }
             Some((t, Next::Peer(k))) => {
                 if !arrived[k] {
@@ -857,11 +883,6 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     // admission control runs before it can issue any
                     // request.
                     if let Some(policy) = cfg.overload {
-                        let active = arrived
-                            .iter()
-                            .zip(&done)
-                            .filter(|&(&a, &d)| a && !d)
-                            .count();
                         let queue = bottlenecks
                             .iter()
                             .map(|b| b.occupancy_bytes())
@@ -884,10 +905,12 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                                 queue_bytes: queue,
                             });
                             charge(&mut wall, |w| &mut w.step_ns);
+                            calendar.set_peer(k, None);
                             continue;
                         }
                     }
                     arrived[k] = true;
+                    active += 1;
                     if let Some(e) = profile.epochs.as_mut() {
                         e.inc(t, "fleet_arrivals");
                     }
@@ -909,11 +932,21 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     // timers are abandoned, exactly as the standalone
                     // driver abandons them.
                     done[k] = true;
+                    active -= 1;
                     if let Some(e) = profile.epochs.as_mut() {
                         e.inc(t, "fleet_departures");
                     }
                 }
                 charge(&mut wall, |w| &mut w.step_ns);
+                calendar.set_peer(k, peer_time(&sessions, &done, k));
+                // The step's offers may have started service on an idle
+                // server. A busy server's departure time is fixed: an
+                // offer only queues behind it.
+                for (i, bn) in bottlenecks.iter().enumerate() {
+                    if calendar.departure_idle(i) {
+                        calendar.set_departure(i, bn.next_departure());
+                    }
+                }
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use mpdash_http::{HttpEvent, HttpLayer};
 use mpdash_link::{
-    next_event, AqmConfig, LinkConfig, Next, PathId, QueueDiscipline, SharedBottleneck,
+    AqmConfig, Calendar, LinkConfig, Next, PathId, QueueDiscipline, SharedBottleneck,
     SharedBottleneckConfig,
 };
 use mpdash_mptcp::{MptcpConfig, MptcpSim, StepOutcome};
@@ -84,9 +84,22 @@ impl Client {
     }
 }
 
-/// Interleave all clients on one virtual clock with the fleet loop's
-/// `next_event` tie-break (bottleneck departures first, then client
-/// index) until every schedule drains.
+/// The calendar's answer worked out the slow way: the minimum over
+/// the bottleneck's departure and every client's next event.
+fn brute_force_next(bn: &SharedBottleneck, clients: &[Client]) -> Option<(SimTime, Next)> {
+    let departure = bn.next_departure().map(|t| (t, Next::Departure(0)));
+    let peers = clients
+        .iter()
+        .enumerate()
+        .filter_map(|(k, c)| Some((c.sim.peek_time()?, Next::Peer(k))));
+    departure.into_iter().chain(peers).min()
+}
+
+/// Interleave all clients on one virtual clock the way the fleet loop
+/// does: a [`Calendar`] (bottleneck departures first, then client
+/// index) re-keyed only where an event can have moved a time, checked
+/// against [`brute_force_next`] on every iteration, until every
+/// schedule drains.
 fn run_fleet(
     discipline: QueueDiscipline,
     rate_mbps: f64,
@@ -107,14 +120,23 @@ fn run_fleet(
         prop_assert_eq!(flow, k, "flows subscribe densely in client order");
         c.pump();
     }
+    let mut cal = Calendar::new(1, clients.len());
+    cal.set_departure(0, bn.next_departure());
+    for (k, c) in clients.iter().enumerate() {
+        cal.set_peer(k, c.sim.peek_time());
+    }
 
     let mut now = SimTime::ZERO;
     let mut guard = 0u64;
     loop {
         guard += 1;
         prop_assert!(guard < 5_000_000, "runaway fleet schedule");
-        let peers = clients.iter().map(|c| c.sim.peek_time());
-        let Some((t, next)) = next_event(std::slice::from_ref(&bn), peers) else {
+        prop_assert_eq!(
+            cal.next(),
+            brute_force_next(&bn, &clients),
+            "calendar missed a re-key"
+        );
+        let Some((t, next)) = cal.next() else {
             break;
         };
         prop_assert!(t >= now, "fleet clock went backwards: {t} < {now}");
@@ -124,30 +146,37 @@ fn run_fleet(
             clients[dep.flow]
                 .sim
                 .on_shared_departure(PathId::WIFI, dep.ticket, dep.at, dep.marked);
+            cal.set_departure(0, bn.next_departure());
+            cal.set_peer(dep.flow, clients[dep.flow].sim.peek_time());
             for drop in bn.take_aqm_drops() {
                 clients[drop.flow]
                     .sim
                     .on_shared_drop(PathId::WIFI, drop.ticket, drop.at);
+                cal.set_peer(drop.flow, clients[drop.flow].sim.peek_time());
             }
             continue;
         };
         let c = &mut clients[k];
-        let Some((_, outcome)) = c.sim.step() else {
-            continue;
-        };
-        let events = match outcome {
-            StepOutcome::ServerMsg { id } => c.http.on_server_msg(&mut c.sim, id),
-            StepOutcome::AppTimer { id } => {
-                c.http.on_app_timer(&mut c.sim, id);
-                Vec::new()
-            }
-            StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                c.http.on_delivered(newly_delivered)
-            }
-            StepOutcome::Transport { .. } => Vec::new(),
-        };
-        c.on_events(events)?;
-        c.pump();
+        if let Some((_, outcome)) = c.sim.step() {
+            let events = match outcome {
+                StepOutcome::ServerMsg { id } => c.http.on_server_msg(&mut c.sim, id),
+                StepOutcome::AppTimer { id } => {
+                    c.http.on_app_timer(&mut c.sim, id);
+                    Vec::new()
+                }
+                StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
+                    c.http.on_delivered(newly_delivered)
+                }
+                StepOutcome::Transport { .. } => Vec::new(),
+            };
+            c.on_events(events)?;
+            c.pump();
+        }
+        cal.set_peer(k, c.sim.peek_time());
+        // Only an idle server can start serving what the step offered.
+        if cal.departure_idle(0) {
+            cal.set_departure(0, bn.next_departure());
+        }
     }
 
     for (k, c) in clients.iter().enumerate() {

@@ -43,6 +43,6 @@ pub use path::PathId;
 pub use profile::BandwidthProfile;
 pub use shaper::TokenBucket;
 pub use shared::{
-    next_event, Departure, FlowId, FlowStats, Next, QueueDiscipline, SharedBottleneck,
+    Calendar, Departure, FlowId, FlowStats, Next, QueueDiscipline, SharedBottleneck,
     SharedBottleneckConfig, SharedDrop, SharedOutcome, SharedStats, Ticket,
 };

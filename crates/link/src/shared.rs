@@ -20,7 +20,7 @@
 //! time**, and departures are popped before any offer with a later
 //! timestamp is made. Under that ordering, choosing the next packet at
 //! each service-start instant is exactly the behaviour of a continuously
-//! running server. Drivers get that ordering from [`next_event`], the
+//! running server. Drivers get that ordering from a [`Calendar`], the
 //! one place it is written down.
 //!
 //! Two disciplines are provided: classic FIFO/DropTail, and a per-flow
@@ -809,8 +809,9 @@ impl SharedBottleneck {
     }
 }
 
-/// Which event [`next_event`] picked. The derived order is the tie-break
-/// at equal times: every departure before every peer, then lower index.
+/// Which event a [`Calendar`] picked. The derived order is the
+/// tie-break at equal times: every departure before every peer, then
+/// lower index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Next {
     /// Bottleneck `i`'s in-service packet finishes serializing.
@@ -821,31 +822,101 @@ pub enum Next {
 
 /// The co-simulation interleave: the globally earliest event over every
 /// bottleneck's [`SharedBottleneck::next_departure`] and every peer's
-/// next event time (`None` for an idle or finished peer), ordered by
-/// `(time, departure-before-peer, index)`.
+/// next event time, ordered by `(time, departure-before-peer, index)`.
 ///
 /// Departures at `t` preceding any peer event at `t` is what upholds the
 /// module's invariant: a peer's offer at `t` finds every departure due by
-/// `t` already popped. Returns `None` when everything is idle.
-pub fn next_event(
-    bottlenecks: &[SharedBottleneck],
-    peers: impl IntoIterator<Item = Option<SimTime>>,
-) -> Option<(SimTime, Next)> {
-    let departures = bottlenecks
-        .iter()
-        .enumerate()
-        .filter_map(|(i, bn)| Some((bn.next_departure()?, Next::Departure(i))));
-    let peers = peers
-        .into_iter()
-        .enumerate()
-        .filter_map(|(k, t)| Some((t?, Next::Peer(k))));
-    departures.chain(peers).min()
+/// `t` already popped.
+///
+/// It is a winner (tournament) tree over a fixed set of slots — one per
+/// bottleneck, then one per peer — each keyed by its next event time or
+/// idle (`None`). The driver re-keys a slot whenever that time can have
+/// changed; [`Calendar::next`] reads the root in O(1) and each re-key
+/// climbs one leaf-to-root path in O(log(slots)), stopping at the first
+/// ancestor whose winner does not change.
+#[derive(Clone, Debug)]
+pub struct Calendar {
+    bottlenecks: usize,
+    /// Implicit binary tree: slot `s` is leaf `slots + s`, node `n`
+    /// holds the earlier of nodes `2n` and `2n + 1`, the root is node 1.
+    /// Every slot has node 1 as an ancestor, for any slot count. Keys
+    /// pack `(time, slot)` into one integer (see [`Calendar::key`]).
+    tree: Vec<u128>,
+}
+
+/// Key of an idle slot: later than any event.
+const IDLE: u128 = u128::MAX;
+
+impl Calendar {
+    /// An all-idle calendar over `bottlenecks` departure slots and
+    /// `peers` peer slots.
+    pub fn new(bottlenecks: usize, peers: usize) -> Self {
+        Calendar {
+            bottlenecks,
+            tree: vec![IDLE; 2 * (bottlenecks + peers)],
+        }
+    }
+
+    /// Re-key bottleneck `i` to its next departure time.
+    pub fn set_departure(&mut self, i: usize, at: Option<SimTime>) {
+        assert!(i < self.bottlenecks, "bottleneck {i} out of range");
+        self.set(i, at);
+    }
+
+    /// Re-key peer `k` to its next event time (`None` once it is idle or
+    /// finished).
+    pub fn set_peer(&mut self, k: usize, at: Option<SimTime>) {
+        self.set(self.bottlenecks + k, at);
+    }
+
+    /// True while bottleneck `i` has no departure keyed. An offer can
+    /// only move a departure time by starting service on an idle server,
+    /// so after a peer step a driver need re-key just these slots.
+    pub fn departure_idle(&self, i: usize) -> bool {
+        self.tree[self.tree.len() / 2 + i] == IDLE
+    }
+
+    /// The globally earliest event, or `None` when every slot is idle.
+    pub fn next(&self) -> Option<(SimTime, Next)> {
+        let root = *self.tree.get(1)?;
+        if root == IDLE {
+            return None;
+        }
+        let at = SimTime::from_nanos((root >> 64) as u64);
+        let slot = root as u64 as usize;
+        let next = match slot.checked_sub(self.bottlenecks) {
+            None => Next::Departure(slot),
+            Some(k) => Next::Peer(k),
+        };
+        Some((at, next))
+    }
+
+    /// `(time, slot)` as one integer. Slots number departures before
+    /// peers, each in index order, so integer order is exactly the
+    /// derived order of `(SimTime, Next)`.
+    fn key(slot: usize, at: Option<SimTime>) -> u128 {
+        at.map_or(IDLE, |t| (u128::from(t.as_nanos()) << 64) | slot as u128)
+    }
+
+    fn set(&mut self, slot: usize, at: Option<SimTime>) {
+        let mut n = self.tree.len() / 2 + slot;
+        self.tree[n] = Self::key(slot, at);
+        while n > 1 {
+            n /= 2;
+            let winner = self.tree[2 * n].min(self.tree[2 * n + 1]);
+            if self.tree[n] == winner {
+                break;
+            }
+            self.tree[n] = winner;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdash_sim::SimDuration;
+    use mpdash_sim::{Prng, SimDuration};
+    use proptest::prelude::*;
 
     const MSS: u64 = 1500;
 
@@ -858,15 +929,15 @@ mod tests {
     }
 
     #[test]
-    fn next_event_orders_by_time_then_departures_then_index() {
-        let idle = [fifo_8mbps(), fifo_8mbps()];
-        assert_eq!(next_event(&[], []), None);
-        assert_eq!(next_event(&idle, [None, None]), None, "all idle");
-        // `None` peers are skipped; equal peer times go to the lower index.
-        assert_eq!(
-            next_event(&idle, [None, Some(t(5)), Some(t(3)), Some(t(3))]),
-            Some((t(3), Next::Peer(2)))
-        );
+    fn calendar_orders_by_time_then_departures_then_index() {
+        assert_eq!(Calendar::new(0, 0).next(), None);
+        let mut cal = Calendar::new(2, 4);
+        assert_eq!(cal.next(), None, "all idle");
+        // Idle peers are skipped; equal peer times go to the lower index.
+        cal.set_peer(1, Some(t(5)));
+        cal.set_peer(3, Some(t(3)));
+        cal.set_peer(2, Some(t(3)));
+        assert_eq!(cal.next(), Some((t(3), Next::Peer(2))));
 
         // Both bottlenecks depart at 1.5 ms (1500 B at 8 Mbps).
         let bns = [fifo_8mbps(), fifo_8mbps()];
@@ -875,23 +946,79 @@ mod tests {
             b.offer(t(0), f, MSS);
         }
         let due = t(0) + SimDuration::from_micros(1500);
+        let mut cal = Calendar::new(2, 2);
+        for (i, b) in bns.iter().enumerate() {
+            cal.set_departure(i, b.next_departure());
+        }
+        cal.set_peer(0, Some(due));
+        cal.set_peer(1, Some(due));
         assert_eq!(
-            next_event(&bns, [Some(due), Some(due)]),
+            cal.next(),
             Some((due, Next::Departure(0))),
             "a departure beats a peer at the same time; lower bottleneck first"
         );
+        cal.set_peer(1, Some(t(1)));
         assert_eq!(
-            next_event(&bns, [None, Some(t(1))]),
+            cal.next(),
             Some((t(1), Next::Peer(1))),
             "an earlier peer beats a later departure"
         );
+        cal.set_peer(1, None);
         bns[0].pop_departure().unwrap();
-        assert_eq!(
-            next_event(&bns, [Some(due)]),
-            Some((due, Next::Departure(1)))
-        );
+        cal.set_departure(0, bns[0].next_departure());
+        assert_eq!(cal.next(), Some((due, Next::Departure(1))));
         bns[1].pop_departure().unwrap();
-        assert_eq!(next_event(&bns, [Some(due)]), Some((due, Next::Peer(0))));
+        cal.set_departure(1, bns[1].next_departure());
+        assert_eq!(cal.next(), Some((due, Next::Peer(0))));
+        cal.set_peer(0, None);
+        assert_eq!(cal.next(), None, "idle again once every slot is");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random re-keys — idle slots, coarse times so ties are common,
+        /// any slot count — always leave `next()` at the brute-force
+        /// minimum over every slot.
+        #[test]
+        fn calendar_next_is_the_minimum_over_every_slot(
+            seed in any::<u64>(),
+            bottlenecks in 0usize..4,
+            peers in 0usize..40,
+        ) {
+            let mut rng = Prng::new(seed);
+            let mut cal = Calendar::new(bottlenecks, peers);
+            let mut slots: Vec<Option<SimTime>> = vec![None; bottlenecks + peers];
+            for _ in 0..500 {
+                if slots.is_empty() {
+                    break;
+                }
+                let s = rng.next_below(slots.len() as u64) as usize;
+                let at = (rng.next_below(4) != 0).then(|| t(rng.next_below(8)));
+                slots[s] = at;
+                if s < bottlenecks {
+                    cal.set_departure(s, at);
+                } else {
+                    cal.set_peer(s - bottlenecks, at);
+                }
+                let oracle = slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(s, at)| {
+                        let next = if s < bottlenecks {
+                            Next::Departure(s)
+                        } else {
+                            Next::Peer(s - bottlenecks)
+                        };
+                        Some(((*at)?, next))
+                    })
+                    .min();
+                prop_assert_eq!(cal.next(), oracle);
+                for (i, at) in slots[..bottlenecks].iter().enumerate() {
+                    prop_assert_eq!(cal.departure_idle(i), at.is_none());
+                }
+            }
+        }
     }
 
     #[test]

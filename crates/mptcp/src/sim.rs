@@ -682,7 +682,7 @@ impl MptcpSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdash_link::{next_event, Next};
+    use mpdash_link::{Calendar, Next};
 
     fn two_path_sim(wifi_mbps: f64, cell_mbps: f64) -> MptcpSim {
         let wifi = LinkConfig::constant(wifi_mbps, SimDuration::from_millis(25));
@@ -864,7 +864,7 @@ mod tests {
     }
 
     /// Two single-path connections share one bottleneck; a miniature
-    /// fleet loop (the shared `next_event` interleave over the
+    /// fleet loop (the shared `Calendar` interleave over the
     /// bottleneck's departures and both connections' queues) drives them
     /// to completion.
     #[test]
@@ -892,17 +892,25 @@ mod tests {
         sims[0].send_app(total);
         sims[1].send_app(total);
 
-        let bns = std::slice::from_ref(&bn);
-        while let Some((_, next)) = next_event(bns, sims.iter().map(MptcpSim::peek_time)) {
+        let mut cal = Calendar::new(1, sims.len());
+        cal.set_departure(0, bn.next_departure());
+        for (k, sim) in sims.iter().enumerate() {
+            cal.set_peer(k, sim.peek_time());
+        }
+        while let Some((_, next)) = cal.next() {
             match next {
                 Next::Departure(_) => {
                     let d = bn.pop_departure().unwrap();
-                    sims[route[d.flow]].on_shared_departure(PathId(0), d.ticket, d.at, d.marked);
+                    let k = route[d.flow];
+                    sims[k].on_shared_departure(PathId(0), d.ticket, d.at, d.marked);
+                    cal.set_peer(k, sims[k].peek_time());
                 }
                 Next::Peer(k) => {
                     sims[k].step();
+                    cal.set_peer(k, sims[k].peek_time());
                 }
             }
+            cal.set_departure(0, bn.next_departure());
         }
         for sim in &sims {
             assert_eq!(sim.delivered(), total);
@@ -922,7 +930,10 @@ mod tests {
     /// Returns the cumulative count of marked departures observed.
     fn drain_shared(sim: &mut MptcpSim, bn: &SharedBottleneck, total: u64) -> u64 {
         let mut marks = 0;
-        while let Some((_, next)) = next_event(std::slice::from_ref(bn), [sim.peek_time()]) {
+        let mut cal = Calendar::new(1, 1);
+        cal.set_departure(0, bn.next_departure());
+        cal.set_peer(0, sim.peek_time());
+        while let Some((_, next)) = cal.next() {
             match next {
                 Next::Departure(_) => {
                     let d = bn.pop_departure().unwrap();
@@ -936,6 +947,9 @@ mod tests {
                     sim.step();
                 }
             }
+            // One bottleneck, one connection: every event can move both.
+            cal.set_departure(0, bn.next_departure());
+            cal.set_peer(0, sim.peek_time());
         }
         assert_eq!(sim.delivered(), total, "stream must complete");
         marks
