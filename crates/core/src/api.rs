@@ -43,6 +43,9 @@ pub struct MpDashControl {
     samplers: Vec<ThroughputSampler<Box<dyn Predictor>>>,
     priors: Vec<Rate>,
     enabled: Vec<bool>,
+    /// Scratch for the per-path estimates each progress update hands
+    /// the scheduler.
+    estimates: Vec<Rate>,
 }
 
 impl MpDashControl {
@@ -94,6 +97,7 @@ impl MpDashControl {
                 .collect(),
             priors,
             enabled: vec![true; n],
+            estimates: Vec::with_capacity(n),
         }
     }
 
@@ -200,15 +204,22 @@ impl MpDashControl {
                 s.roll_to(now);
             }
         }
-        let estimates: Vec<Rate> = (0..self.n_paths()).map(|p| self.estimate(p)).collect();
-        let change = self.sched.on_progress(now, total_sent, &estimates)?;
+        // Each path's `estimate`, gathered into the reused buffer.
+        self.estimates.clear();
+        self.estimates.extend(
+            self.samplers
+                .iter()
+                .zip(&self.priors)
+                .map(|(s, &prior)| s.forecast().unwrap_or(prior)),
+        );
+        let change = self.sched.on_progress(now, total_sent, &self.estimates)?;
         // Paths coming online restart their sampling clock at `now`.
         for (i, s) in self.samplers.iter_mut().enumerate() {
             if change[i] && !self.enabled[i] {
                 s.reanchor(now);
             }
         }
-        self.enabled = change.clone();
+        self.enabled.clone_from(&change);
         Some(change)
     }
 }

@@ -39,6 +39,9 @@ pub struct MultiPathScheduler {
     toggles: u64,
     missed_deadlines: u64,
     completed: u64,
+    /// Scratch for the enabled set a progress update wants; copied out
+    /// only when it differs from the current one.
+    want: Vec<bool>,
 }
 
 impl MultiPathScheduler {
@@ -62,6 +65,7 @@ impl MultiPathScheduler {
             toggles: 0,
             missed_deadlines: 0,
             completed: 0,
+            want: Vec::new(),
         }
     }
 
@@ -155,11 +159,10 @@ impl MultiPathScheduler {
                 a.missed = true;
                 self.missed_deadlines += 1;
             }
-            let all = vec![true; self.costs.len()];
-            if a.enabled != all {
+            if a.enabled.contains(&false) {
                 self.toggles += a.enabled.iter().filter(|&&e| !e).count() as u64;
-                a.enabled = all.clone();
-                return Some(all);
+                a.enabled.fill(true);
+                return Some(a.enabled.clone());
             }
             return None;
         }
@@ -171,7 +174,9 @@ impl MultiPathScheduler {
 
         // Greedy cheapest prefix: accumulate capacity until it covers the
         // remaining bytes. The preferred path is unconditionally on.
-        let mut want = vec![false; self.costs.len()];
+        let want = &mut self.want;
+        want.clear();
+        want.resize(self.costs.len(), false);
         let mut capacity: u64 = 0;
         for &p in &self.by_cost {
             want[p] = true;
@@ -200,14 +205,14 @@ impl MultiPathScheduler {
             }
         }
 
-        if want != a.enabled {
+        if *want != a.enabled {
             self.toggles += want
                 .iter()
                 .zip(a.enabled.iter())
                 .filter(|(w, e)| w != e)
                 .count() as u64;
-            a.enabled = want.clone();
-            Some(want)
+            a.enabled.clone_from(want);
+            Some(want.clone())
         } else {
             None
         }

@@ -165,7 +165,9 @@ fn run_fleet(
                     Vec::new()
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    c.http.on_delivered(newly_delivered)
+                    let mut evs = Vec::new();
+                    c.http.on_delivered(newly_delivered, &mut evs);
+                    evs
                 }
                 StepOutcome::Transport { .. } => Vec::new(),
             };

@@ -485,9 +485,10 @@ impl HttpLayer {
     }
 
     /// The client's connection delivered `newly` more in-order bytes:
-    /// advance framing and emit protocol events.
-    pub fn on_delivered(&mut self, newly: u64) -> Vec<HttpEvent> {
-        let mut events = Vec::new();
+    /// advance framing and append the protocol events, in order, to
+    /// `events`. Earlier contents of `events` are left in place, so a
+    /// caller that reuses one buffer clears it between deliveries.
+    pub fn on_delivered(&mut self, newly: u64, events: &mut Vec<HttpEvent>) {
         let mut left = newly;
         loop {
             // Pop any front response that a cancellation truncated to
@@ -585,7 +586,6 @@ impl HttpLayer {
             // A drained truncated response is handled at the top of the
             // next iteration.
         }
-        events
     }
 
     /// Number of exchanges the client still expects bytes for.
@@ -751,7 +751,8 @@ mod tests {
                     assert!(http.on_app_timer(sim, id), "unexpected non-HTTP timer");
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    let evs = http.on_delivered(newly_delivered);
+                    let mut evs = Vec::new();
+                    http.on_delivered(newly_delivered, &mut evs);
                     let done = evs.iter().any(|e| {
                         matches!(e,
                             HttpEvent::Complete { id: i, .. }
@@ -840,7 +841,9 @@ mod tests {
                     h.on_server_msg(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    let mut evs = Vec::new();
+                    h.on_delivered(newly_delivered, &mut evs);
+                    for e in evs {
                         if let HttpEvent::Complete { id, .. } = e {
                             completions.push(id);
                         }
@@ -879,7 +882,9 @@ mod tests {
                     h.on_server_msg(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    let mut evs = Vec::new();
+                    h.on_delivered(newly_delivered, &mut evs);
+                    for e in evs {
                         if let HttpEvent::Complete { id, body_dss } = e {
                             let idx = (id - ids[0]) as usize;
                             assert_eq!(body_dss.len(), 100 + idx as u64);
@@ -988,7 +993,9 @@ mod tests {
                     h.on_server_msg(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    let mut evs = Vec::new();
+                    h.on_delivered(newly_delivered, &mut evs);
+                    for e in evs {
                         if let HttpEvent::BodyProgress { received: r, .. } = e {
                             received = r;
                             if r > size / 4 {
@@ -1018,7 +1025,9 @@ mod tests {
                     }
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    let mut evs = Vec::new();
+                    h.on_delivered(newly_delivered, &mut evs);
+                    for e in evs {
                         match e {
                             HttpEvent::Aborted {
                                 received, body_dss, ..
@@ -1070,7 +1079,9 @@ mod tests {
                     }
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    let mut evs = Vec::new();
+                    h.on_delivered(newly_delivered, &mut evs);
+                    for e in evs {
                         assert!(
                             !matches!(e, HttpEvent::Complete { .. }),
                             "cancelled request completed"
@@ -1119,7 +1130,9 @@ mod tests {
                     h.on_app_timer(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    let mut evs = Vec::new();
+                    h.on_delivered(newly_delivered, &mut evs);
+                    for e in evs {
                         if let HttpEvent::BodyProgress { received, .. } = e {
                             last_progress = received;
                         }
@@ -1164,7 +1177,9 @@ mod tests {
                     Vec::new()
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    http.on_delivered(newly_delivered)
+                    let mut evs = Vec::new();
+                    http.on_delivered(newly_delivered, &mut evs);
+                    evs
                 }
                 _ => Vec::new(),
             };
@@ -1266,7 +1281,7 @@ mod tests {
                     break;
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    h.on_delivered(newly_delivered);
+                    h.on_delivered(newly_delivered, &mut Vec::new());
                 }
                 _ => {}
             }

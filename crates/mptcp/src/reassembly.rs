@@ -26,6 +26,15 @@ impl IntervalSet {
         if start >= end {
             return;
         }
+        // In-order append, the common case: `start` lies inside (or at
+        // the end of) the last run, so nothing after it can merge.
+        if let Some(mut last) = self.runs.last_entry() {
+            if *last.key() <= start && start <= *last.get() {
+                let e = last.get_mut();
+                *e = (*e).max(end);
+                return;
+            }
+        }
         let mut new_start = start;
         let mut new_end = end;
 

@@ -13,7 +13,9 @@
 //!
 //! The sender is pure state: it never touches links or the event queue.
 //! Methods return [`Transmit`] actions that the simulator realizes, which
-//! keeps this module synchronously testable.
+//! keeps this module synchronously testable. The per-event pump appends
+//! them to a caller-owned buffer ([`Sender::pump_into`]) so the steady
+//! state allocates nothing.
 
 use crate::cc::{CcKind, CongestionControl};
 use crate::packet::{PathMask, MSS};
@@ -310,6 +312,9 @@ pub struct Sender {
     conn_assigned: u64,
     /// Enforcement state of the MP-DASH overlay, as last signaled.
     mask: PathMask,
+    /// Scratch list of one pick's eligible subflows, refilled for every
+    /// segment [`Sender::pump_into`] assigns.
+    cand: Vec<Candidate>,
 }
 
 impl Sender {
@@ -325,6 +330,7 @@ impl Sender {
             conn_total: 0,
             conn_assigned: 0,
             mask: PathMask::ALL,
+            cand: Vec::with_capacity(n_paths),
         }
     }
 
@@ -398,21 +404,22 @@ impl Sender {
         self.scheduler.spec()
     }
 
-    /// [`Sender::pump_with`] on a connection with no shared-bottleneck
-    /// attachments (every path's queue depth unknown).
-    pub fn pump(&mut self, now: SimTime) -> Vec<Transmit> {
-        self.pump_with(now, &[])
-    }
-
-    /// Assign as much pending data as window space and the mask allow.
-    /// Returns the transmissions to realize, in order.
+    /// Assign as much pending data as window space and the mask allow,
+    /// appending the transmissions to realize, in order, to `out`.
+    /// Earlier contents of `out` are left in place, so a caller that
+    /// reuses one buffer across pumps clears it between them.
     ///
     /// `shared_depth[path]` is the occupancy of the path's shared
     /// bottleneck queue, sampled by the simulator (the sender is pure
     /// state and never touches links itself); `None` — or a missing
     /// entry — means the path has no shared attachment. Queue-aware
     /// schedulers fold it into every pick; the others ignore it.
-    pub fn pump_with(&mut self, now: SimTime, shared_depth: &[Option<u64>]) -> Vec<Transmit> {
+    pub fn pump_into(
+        &mut self,
+        now: SimTime,
+        shared_depth: &[Option<u64>],
+        out: &mut Vec<Transmit>,
+    ) {
         // Idle window validation first: a subflow that has been silent for
         // an RTO with nothing in flight must not blast a stale window.
         // Failed subflows are probed again after a cooldown — the path
@@ -429,32 +436,32 @@ impl Sender {
             }
         }
 
-        let mut out = Vec::new();
         loop {
             let remaining = self.conn_total - self.conn_assigned;
             if remaining == 0 {
                 break;
             }
             let len = remaining.min(MSS);
-            let candidates: Vec<Candidate> = self
-                .subflows
-                .iter()
-                .filter(|sf| {
-                    !sf.failed
-                        && now >= sf.established_at
-                        && self.mask.contains(sf.path)
-                        && sf.in_flight() + len <= sf.cwnd()
-                })
-                .map(|sf| Candidate {
-                    path: sf.path,
-                    srtt: sf.srtt,
-                    cwnd: sf.cwnd(),
-                    in_flight: sf.in_flight(),
-                    queue_depth: shared_depth.get(sf.path.index()).copied().flatten(),
-                })
-                .collect();
+            self.cand.clear();
+            self.cand.extend(
+                self.subflows
+                    .iter()
+                    .filter(|sf| {
+                        !sf.failed
+                            && now >= sf.established_at
+                            && self.mask.contains(sf.path)
+                            && sf.in_flight() + len <= sf.cwnd()
+                    })
+                    .map(|sf| Candidate {
+                        path: sf.path,
+                        srtt: sf.srtt,
+                        cwnd: sf.cwnd(),
+                        in_flight: sf.in_flight(),
+                        queue_depth: shared_depth.get(sf.path.index()).copied().flatten(),
+                    }),
+            );
             let input = SchedInput {
-                candidates: &candidates,
+                candidates: &self.cand,
                 backlog: remaining,
             };
             let Some(path) = self.scheduler.pick(&input) else {
@@ -487,7 +494,6 @@ impl Sender {
                 syn: seg.syn,
             });
         }
-        out
     }
 
     /// Process a cumulative ACK for `path`. Returns retransmissions to
@@ -776,11 +782,18 @@ mod tests {
         Sender::new(2, SchedulerSpec::MinRtt, CcKind::Reno)
     }
 
+    /// One pump on private links, into a fresh buffer.
+    fn pump(s: &mut Sender, now: SimTime) -> Vec<Transmit> {
+        let mut out = Vec::new();
+        s.pump_into(now, &[], &mut out);
+        out
+    }
+
     #[test]
     fn pump_respects_cwnd() {
         let mut s = two_path_sender();
         s.push_app_data(10_000_000);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         // Two subflows, 10 MSS initial window each, MinRtt with no
         // estimates fills the primary then the secondary.
         assert_eq!(tx.len(), 20);
@@ -791,14 +804,14 @@ mod tests {
             .sum();
         assert_eq!(wifi_bytes, 10 * MSS);
         // No more space, nothing further to pump.
-        assert!(s.pump(SimTime::ZERO).is_empty());
+        assert!(pump(&mut s, SimTime::ZERO).is_empty());
     }
 
     #[test]
     fn dss_assignment_is_contiguous_and_unique() {
         let mut s = two_path_sender();
         s.push_app_data(100 * MSS);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         let mut dss: Vec<u64> = tx.iter().map(|t| t.dss).collect();
         dss.sort_unstable();
         for (i, d) in dss.iter().enumerate() {
@@ -811,12 +824,12 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(10_000_000);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         assert!(tx.iter().all(|t| t.path == PathId::WIFI));
         assert_eq!(tx.len(), 10);
         // Enabling cellular lets the pump continue there.
         assert!(s.apply_mask(PathMask::ALL));
-        let tx2 = s.pump(SimTime::ZERO);
+        let tx2 = pump(&mut s, SimTime::ZERO);
         assert!(tx2.iter().all(|t| t.path == PathId::CELLULAR));
     }
 
@@ -825,7 +838,7 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(100 * MSS);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         let sent: u64 = tx.iter().map(|t| t.len).sum();
         // Ack everything sent on wifi.
         let now = SimTime::from_millis(50);
@@ -834,7 +847,7 @@ mod tests {
         assert_eq!(s.subflow(PathId::WIFI).in_flight(), 0);
         // Slow start doubled the window.
         assert!(s.subflow(PathId::WIFI).cwnd() >= 20 * MSS);
-        let tx2 = s.pump(now);
+        let tx2 = pump(&mut s, now);
         assert!(tx2.len() >= 20);
     }
 
@@ -843,7 +856,7 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         s.on_ack(SimTime::from_millis(50), PathId::WIFI, MSS);
         let srtt = s.subflow(PathId::WIFI).srtt().unwrap();
         assert_eq!(srtt, SimDuration::from_millis(50));
@@ -855,7 +868,7 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(10 * MSS);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         assert_eq!(tx.len(), 10);
         // First packet lost: receiver acks 0 repeatedly as later packets
         // arrive. First ack with ack=MSS? No: cumulative ack stays 0...
@@ -878,7 +891,7 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(10 * MSS);
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         let now = SimTime::from_millis(60);
         // Lose segments 0 and 3: dupacks for seg 0.
         s.on_ack(now, PathId::WIFI, 0);
@@ -901,7 +914,7 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(4 * MSS);
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         let deadline = s.rto_deadline(PathId::WIFI).unwrap();
         assert_eq!(deadline, SimTime::ZERO + RTO_INITIAL);
         // Stale fire (before deadline) does nothing.
@@ -930,7 +943,7 @@ mod tests {
         let mut s = two_path_sender();
         // Both paths enabled; data lands on WiFi first (primary).
         s.push_app_data(MSS);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].path, PathId::WIFI);
         let deadline = s.rto_deadline(PathId::WIFI).unwrap();
@@ -961,7 +974,7 @@ mod tests {
         // Force everything onto WiFi by masking, then unmask so the
         // reinjections have somewhere to go.
         s.apply_mask(PathMask::only(PathId::WIFI));
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         s.apply_mask(PathMask::ALL);
         let mut now = SimTime::ZERO;
         let mut failed = false;
@@ -987,7 +1000,7 @@ mod tests {
         assert!(s.subflow(PathId::CELLULAR).in_flight() >= 4 * MSS);
         // The scheduler no longer assigns new data to the failed path.
         s.push_app_data(MSS);
-        let tx = s.pump(now);
+        let tx = pump(&mut s, now);
         assert!(tx.iter().all(|t| t.path == PathId::CELLULAR));
     }
 
@@ -997,7 +1010,7 @@ mod tests {
     fn fail_wifi(s: &mut Sender, start: SimTime) -> SimTime {
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
-        assert!(!s.pump(start).is_empty(), "data must land on wifi");
+        assert!(!pump(s, start).is_empty(), "data must land on wifi");
         s.apply_mask(PathMask::ALL);
         for _ in 0..20 {
             let Some(d) = s.rto_deadline(PathId::WIFI) else {
@@ -1022,11 +1035,11 @@ mod tests {
             "first failure doubles the cooldown"
         );
         // Still failed right at the cooldown boundary (strictly-greater).
-        s.pump(t1 + REVIVAL_COOLDOWN * 2);
+        pump(&mut s, t1 + REVIVAL_COOLDOWN * 2);
         assert!(s.subflow(PathId::WIFI).failed());
         // Past it: revived.
         let revive_at = t1 + REVIVAL_COOLDOWN * 2 + SimDuration::from_millis(1);
-        s.pump(revive_at);
+        pump(&mut s, revive_at);
         assert!(!s.subflow(PathId::WIFI).failed());
         assert_eq!(s.subflow(PathId::WIFI).revivals(), 1);
 
@@ -1041,12 +1054,12 @@ mod tests {
 
         // Revive and make real forward progress: the backoff resets.
         let revive2 = t2 + REVIVAL_COOLDOWN * 4 + SimDuration::from_millis(1);
-        s.pump(revive2);
+        pump(&mut s, revive2);
         assert_eq!(s.subflow(PathId::WIFI).revivals(), 2);
         let ready = s.subflow(PathId::WIFI).established_at();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
-        let tx = s.pump(ready);
+        let tx = pump(&mut s, ready);
         assert_eq!(tx.len(), 1);
         s.on_ack(
             ready + SimDuration::from_millis(20),
@@ -1067,7 +1080,7 @@ mod tests {
         // opened window.
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(10 * MSS);
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         s.on_ack(SimTime::from_millis(50), PathId::WIFI, 10 * MSS);
         assert!(s.subflow(PathId::WIFI).cwnd() >= 20 * MSS);
         assert_eq!(
@@ -1078,7 +1091,7 @@ mod tests {
         let t_fail = fail_wifi(&mut s, SimTime::from_millis(60));
         let revive_at =
             t_fail + s.subflow(PathId::WIFI).revival_backoff() + SimDuration::from_millis(1);
-        s.pump(revive_at);
+        pump(&mut s, revive_at);
 
         let sf = s.subflow(PathId::WIFI);
         assert!(!sf.failed());
@@ -1098,8 +1111,11 @@ mod tests {
         let ready = sf.established_at();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
-        assert!(s.pump(revive_at).is_empty(), "no new data mid-handshake");
-        let tx = s.pump(ready);
+        assert!(
+            pump(&mut s, revive_at).is_empty(),
+            "no new data mid-handshake"
+        );
+        let tx = pump(&mut s, ready);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].path, PathId::WIFI);
     }
@@ -1109,7 +1125,7 @@ mod tests {
         let mut s = two_path_sender();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         let deadline = s.rto_deadline(PathId::WIFI).unwrap();
         assert!(!s.on_rto_fire(deadline, PathId::WIFI).is_empty());
         // Ack arrives long after: no RTT sample because the segment was
@@ -1122,7 +1138,7 @@ mod tests {
     fn round_robin_alternates_paths() {
         let mut s = Sender::new(2, SchedulerSpec::RoundRobin, CcKind::Reno);
         s.push_app_data(4 * MSS);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         let paths: Vec<PathId> = tx.iter().map(|t| t.path).collect();
         assert_eq!(paths, vec![PathId(0), PathId(1), PathId(0), PathId(1)]);
     }
@@ -1131,7 +1147,7 @@ mod tests {
     fn tail_segment_smaller_than_mss() {
         let mut s = two_path_sender();
         s.push_app_data(MSS + 100);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         assert_eq!(tx.len(), 2);
         assert_eq!(tx[0].len, MSS);
         assert_eq!(tx[1].len, 100);
@@ -1143,21 +1159,21 @@ mod tests {
         s.apply_mask(PathMask::only(PathId::WIFI));
         // 10 MSS fit the initial window; the rest stays queued.
         s.push_app_data(25 * MSS);
-        let tx = s.pump(SimTime::ZERO);
+        let tx = pump(&mut s, SimTime::ZERO);
         assert_eq!(tx.len(), 10);
         let flushed = s.flush_unsent();
         assert_eq!(flushed, 15 * MSS);
         assert_eq!(s.conn_total(), 10 * MSS);
         assert_eq!(s.conn_assigned(), 10 * MSS);
         // Nothing more to pump; in-flight data is unaffected.
-        assert!(s.pump(SimTime::ZERO).is_empty());
+        assert!(pump(&mut s, SimTime::ZERO).is_empty());
         assert_eq!(s.subflow(PathId::WIFI).in_flight(), 10 * MSS);
         // Acking the committed bytes completes the connection.
         s.on_ack(SimTime::from_millis(50), PathId::WIFI, 10 * MSS);
         assert!(s.all_acked());
         // New data continues at the flush point, same DSS space.
         s.push_app_data(MSS);
-        let tx2 = s.pump(SimTime::from_millis(50));
+        let tx2 = pump(&mut s, SimTime::from_millis(50));
         assert_eq!(tx2[0].dss, 10 * MSS, "stream continues at the cut");
     }
 
@@ -1166,7 +1182,7 @@ mod tests {
         let mut s = two_path_sender();
         assert_eq!(s.flush_unsent(), 0);
         s.push_app_data(MSS);
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         assert_eq!(s.flush_unsent(), 0, "fully assigned stream has no tail");
     }
 
@@ -1176,7 +1192,7 @@ mod tests {
         assert!(s.all_acked(), "empty connection is trivially complete");
         s.push_app_data(MSS);
         assert!(!s.all_acked());
-        s.pump(SimTime::ZERO);
+        pump(&mut s, SimTime::ZERO);
         assert!(!s.all_acked());
         s.on_ack(SimTime::from_millis(10), PathId::WIFI, MSS);
         assert!(s.all_acked());

@@ -173,6 +173,10 @@ pub struct MptcpSim {
     /// Per-path failure/revival counts already reported to the tracer.
     trace_failures_seen: Vec<u64>,
     trace_revivals_seen: Vec<u64>,
+    /// Per-pump scratch: each path's shared-queue depth sample, and the
+    /// sender's transmits. Owned here so a pump allocates nothing.
+    depths: Vec<Option<u64>>,
+    tx: Vec<Transmit>,
 }
 
 impl MptcpSim {
@@ -197,6 +201,8 @@ impl MptcpSim {
             tracer: Tracer::disabled(),
             trace_failures_seen: vec![0; n],
             trace_revivals_seen: vec![0; n],
+            depths: Vec::with_capacity(n),
+            tx: Vec::new(),
         }
     }
 
@@ -329,6 +335,12 @@ impl MptcpSim {
     /// The packet receive trace (for analysis and energy accounting).
     pub fn records(&self) -> &[PktRecord] {
         self.rcv.records()
+    }
+
+    /// Move the packet receive trace out, leaving it empty (final report
+    /// assembly, once the connection is done).
+    pub fn take_records(&mut self) -> Vec<PktRecord> {
+        self.rcv.take_records()
     }
 
     /// Smoothed RTT of `path`, if measured.
@@ -517,9 +529,12 @@ impl MptcpSim {
         // the sender (which is pure state and never touches links). The
         // sample is read-only, so schedulers that ignore it stay
         // byte-identical with or without shared attachments.
-        let depths: Vec<Option<u64>> = self.links.iter().map(|l| l.shared_queue_depth()).collect();
-        let actions = self.snd.pump_with(now, &depths);
-        for t in actions {
+        self.depths.clear();
+        self.depths
+            .extend(self.links.iter().map(|l| l.shared_queue_depth()));
+        let mut tx = std::mem::take(&mut self.tx);
+        self.snd.pump_into(now, &self.depths, &mut tx);
+        for &t in &tx {
             if self.tracer.enabled() {
                 // Every pump transmit is one scheduler decision (retx and
                 // reinjections travel other code paths), so attribute it:
@@ -527,7 +542,7 @@ impl MptcpSim {
                 // won the pick.
                 let sf = self.snd.subflow(t.path);
                 let srtt_ms = sf.srtt().map(|s| s.as_secs_f64() * 1e3);
-                let queue_bytes = depths.get(t.path.index()).copied().flatten();
+                let queue_bytes = self.depths.get(t.path.index()).copied().flatten();
                 self.tracer.emit_with(now, || TraceEvent::SchedulerPick {
                     path: t.path.index(),
                     len: t.len,
@@ -537,6 +552,8 @@ impl MptcpSim {
             }
             self.transmit(now, t);
         }
+        tx.clear();
+        self.tx = tx;
         for p in 0..self.links.len() {
             self.ensure_rto(PathId(p as u8));
         }

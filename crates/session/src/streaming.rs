@@ -32,7 +32,7 @@ use mpdash_http::{
     RequestId, RequestTracker, SharedSegmentCache,
 };
 use mpdash_link::PathId;
-use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, StepOutcome};
+use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, PktRecord, StepOutcome};
 use mpdash_obs::{telemetry_from_env, EpochSeries, MetricsRegistry, TraceEvent, Tracer};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
@@ -158,6 +158,9 @@ pub struct StreamingSession {
     /// session on admission): no further chunks are requested and the
     /// report accounts only the content actually fetched.
     departed: bool,
+    /// Scratch for the HTTP events one delivery produces, reused by
+    /// every [`StreamingSession::step_once`].
+    http_events: Vec<HttpEvent>,
 }
 
 impl StreamingSession {
@@ -255,6 +258,7 @@ impl StreamingSession {
             origin_stats: OriginStats::default(),
             pending_losers: Vec::new(),
             departed: false,
+            http_events: Vec::new(),
             cfg,
         }
     }
@@ -1160,9 +1164,13 @@ impl StreamingSession {
         match outcome {
             StepOutcome::Transport { newly_delivered } => {
                 if newly_delivered > 0 {
-                    for ev in self.http.on_delivered(newly_delivered) {
+                    let mut events = std::mem::take(&mut self.http_events);
+                    self.http.on_delivered(newly_delivered, &mut events);
+                    for &ev in &events {
                         self.handle_http_event(t, ev);
                     }
+                    events.clear();
+                    self.http_events = events;
                     // Mid-download decision on fresh bytes.
                     if self.current.is_some() {
                         self.progress_check(t);
@@ -1235,7 +1243,7 @@ impl StreamingSession {
         // stall deltas so epoch totals match the report's exactly.
         self.telemetry_tick(end);
 
-        let records = self.sim.records().to_vec();
+        let records = self.sim.take_records();
         let wifi_pkts: Vec<(SimTime, u64)> = records
             .iter()
             .filter(|r| r.path == PathId::WIFI)
@@ -1248,32 +1256,14 @@ impl StreamingSession {
             .collect();
         let energy = session_energy(&self.cfg.device, &wifi_pkts, &cell_pkts, duration);
 
-        // Degradation accounting: a chunk is "outage-bridged" when the
-        // preferred path contributed under 10% of its body bytes while
-        // the other path carried it — cellular covering a WiFi fault
-        // window (or vice versa under CellularFirst).
         let costs = self.cfg.preference.costs();
         let preferred = if costs[0] <= costs[1] {
             PathId::WIFI
         } else {
             PathId::CELLULAR
         };
-        let mut outage_bridged_chunks = 0u64;
-        for c in &self.chunks {
-            let (lo, hi) = (c.body_dss.start, c.body_dss.end);
-            let mut pref = 0u64;
-            let mut other = 0u64;
-            for r in records.iter().filter(|r| r.dss >= lo && r.dss < hi) {
-                if r.path == preferred {
-                    pref += r.len;
-                } else {
-                    other += r.len;
-                }
-            }
-            if other > 0 && pref * 10 < pref + other {
-                outage_bridged_chunks += 1;
-            }
-        }
+        let outage_bridged_chunks =
+            outage_bridged_chunks(self.chunks.iter().map(|c| c.body_dss), &records, preferred);
         let scheduler_stats = self.control.as_ref().map(|c| c.stats()).unwrap_or_default();
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
@@ -1337,12 +1327,108 @@ impl StreamingSession {
     }
 }
 
+/// Degradation accounting: a chunk is "outage-bridged" when the
+/// `preferred` path contributed under 10% of its body bytes while the
+/// other path carried it — cellular covering a WiFi fault window (or
+/// vice versa under CellularFirst). `bodies` are the chunks' disjoint
+/// body ranges in any order (hedged fetches can complete out of DSS
+/// order); each record lands in the body containing its `dss`, found by
+/// binary search over the bodies sorted by start.
+fn outage_bridged_chunks(
+    bodies: impl IntoIterator<Item = DssRange>,
+    records: &[PktRecord],
+    preferred: PathId,
+) -> u64 {
+    let mut bodies: Vec<DssRange> = bodies.into_iter().filter(|b| !b.is_empty()).collect();
+    bodies.sort_unstable_by_key(|b| b.start);
+    debug_assert!(
+        bodies.windows(2).all(|w| w[0].end <= w[1].start),
+        "chunk bodies overlap"
+    );
+    // (preferred, other) body bytes per body, in sorted order.
+    let mut bytes = vec![(0u64, 0u64); bodies.len()];
+    for r in records {
+        let i = bodies.partition_point(|b| b.start <= r.dss);
+        if i > 0 && r.dss < bodies[i - 1].end {
+            let (pref, other) = &mut bytes[i - 1];
+            if r.path == preferred {
+                *pref += r.len;
+            } else {
+                *other += r.len;
+            }
+        }
+    }
+    bytes
+        .iter()
+        .filter(|&&(pref, other)| other > 0 && pref * 10 < pref + other)
+        .count() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpdash_dash::abr::AbrKind;
     use mpdash_dash::video::Video;
     use mpdash_trace::table1;
+
+    /// The one-pass outage-bridged count equals the per-chunk rescan it
+    /// replaced, for disjoint bodies in random order (some empty, some
+    /// adjacent) and records scattered inside, between and past them.
+    #[test]
+    fn outage_bridged_count_matches_the_per_chunk_rescan() {
+        fn rescan(bodies: &[DssRange], records: &[PktRecord], preferred: PathId) -> u64 {
+            let mut bridged = 0;
+            for b in bodies {
+                let (mut pref, mut other) = (0u64, 0u64);
+                for r in records.iter().filter(|r| r.dss >= b.start && r.dss < b.end) {
+                    if r.path == preferred {
+                        pref += r.len;
+                    } else {
+                        other += r.len;
+                    }
+                }
+                if other > 0 && pref * 10 < pref + other {
+                    bridged += 1;
+                }
+            }
+            bridged
+        }
+        let mut rng = mpdash_sim::Prng::new(0x0B5E);
+        for _ in 0..300 {
+            let mut bodies = Vec::new();
+            let mut at = 0;
+            for _ in 0..rng.next_below(12) {
+                at += rng.next_below(3) * rng.next_below(500);
+                let end = at + rng.next_below(4) * rng.next_below(2_000);
+                bodies.push(DssRange { start: at, end });
+                at = end;
+            }
+            // Fisher-Yates: completion order need not follow DSS order.
+            for i in (1..bodies.len()).rev() {
+                bodies.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let records: Vec<PktRecord> = (0..rng.next_below(400))
+                .map(|_| PktRecord {
+                    t: SimTime::ZERO,
+                    path: if rng.next_below(8) == 0 {
+                        PathId::WIFI
+                    } else {
+                        PathId::CELLULAR
+                    },
+                    len: 1 + rng.next_below(1_460),
+                    dss: rng.next_below(at + 100),
+                    retx: false,
+                })
+                .collect();
+            for preferred in [PathId::WIFI, PathId::CELLULAR] {
+                assert_eq!(
+                    outage_bridged_chunks(bodies.iter().copied(), &records, preferred),
+                    rescan(&bodies, &records, preferred),
+                    "bodies {bodies:?}"
+                );
+            }
+        }
+    }
 
     /// A shortened Big Buck Bunny so debug-mode tests stay fast.
     fn short_video() -> Video {

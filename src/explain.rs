@@ -217,7 +217,8 @@ fn explain_fleet_run(
     let fc = scenario
         .fleet_config(cfg.with_tracer(Tracer::new(ring.clone())))?
         .with_trace_client(k);
-    let mut fleet_report = mpdash_fleet::run(&fc);
+    let mut fleet_report =
+        mpdash_fleet::run_checked(&fc).map_err(|v| format!("fleet invariant violated: {v}"))?;
     let drops = fleet_report
         .bottlenecks
         .iter()

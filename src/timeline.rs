@@ -18,8 +18,8 @@
 
 use crate::scenario::Scenario;
 use mpdash_dash::QoeScore;
-use mpdash_fleet::{run as run_fleet, FleetConfig};
-use mpdash_obs::{EpochSeries, TelemetrySpec};
+use mpdash_fleet::{run_checked, FleetConfig};
+use mpdash_obs::{EpochSeries, InvariantViolation, TelemetrySpec};
 use mpdash_results::{artifact_dir, Json};
 use mpdash_session::{run_batch, Job, JobReport};
 
@@ -67,12 +67,15 @@ pub fn timeline_scenario(
 
     // One job per mode through the ordinary order-preserving batch
     // machinery: results come back in declaration order whatever
-    // MPDASH_WORKERS says, and each job's value is pure epoch data.
+    // MPDASH_WORKERS says, and each job's value is pure epoch data — or
+    // `{"violation": ...}` when the fleet watchdog tripped.
     let jobs: Vec<Job> = configs
         .into_iter()
         .map(|(label, fc)| {
             Job::custom(label.clone(), move || {
-                JobReport::Value(Box::new(mode_timeline(&label, &fc)))
+                let json = mode_timeline(&label, &fc)
+                    .unwrap_or_else(|v| Json::obj([("violation", Json::from(v.to_string()))]));
+                JobReport::Value(Box::new(json))
             })
         })
         .collect();
@@ -80,6 +83,12 @@ pub fn timeline_scenario(
     let mut modes = Vec::new();
     for r in &results {
         let v = r.value().map_err(|e| format!("job {}: {e}", r.label))?;
+        if let Some(violation) = v.get("violation").and_then(Json::as_str) {
+            return Err(format!(
+                "mode {}: fleet invariant violated: {violation}",
+                r.label
+            ));
+        }
         modes.push(v.clone());
     }
 
@@ -128,9 +137,10 @@ pub fn timeline_scenario(
 
 /// Run one mode's fleet and reduce it to the timeline's JSON: one row
 /// per epoch plus loop/wall profiles. Every field except `wall` is a
-/// pure function of the fleet config.
-fn mode_timeline(label: &str, fc: &FleetConfig) -> Json {
-    let report = run_fleet(fc);
+/// pure function of the fleet config. Errors when the fleet's watchdog
+/// reports a broken invariant.
+fn mode_timeline(label: &str, fc: &FleetConfig) -> Result<Json, InvariantViolation> {
+    let report = run_checked(fc)?;
     let epoch = report
         .epochs
         .as_ref()
@@ -239,7 +249,7 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Json {
             .sum::<f64>()
             / report.sessions.len() as f64
     };
-    Json::obj([
+    Ok(Json::obj([
         ("mode", Json::from(label)),
         ("clients", Json::from(report.sessions.len())),
         ("epoch_s", Json::Float(epoch_s)),
@@ -254,7 +264,7 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Json {
                 .map(|w| w.to_json())
                 .unwrap_or(Json::Null),
         ),
-    ])
+    ]))
 }
 
 /// The per-epoch rows of one mode's timeline value.
@@ -389,7 +399,7 @@ mod tests {
         sc.fleet_configs()
             .unwrap()
             .into_iter()
-            .map(|(label, fc)| mode_timeline(&label, &fc.with_telemetry(spec)))
+            .map(|(label, fc)| mode_timeline(&label, &fc.with_telemetry(spec)).unwrap())
             .collect()
     }
 
@@ -440,7 +450,7 @@ mod tests {
         let sc = Scenario::from_json(doc).unwrap();
         let spec = sc.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
-        let mode = mode_timeline(&label, &fc.with_telemetry(spec));
+        let mode = mode_timeline(&label, &fc.with_telemetry(spec)).unwrap();
         let rows = rows(&mode);
         let sum = |key: &str| -> u64 { rows.iter().map(|r| row_f64(r, key) as u64).sum() };
         let arrivals = sum("fleet_arrivals");
@@ -485,7 +495,7 @@ mod tests {
         let sc = Scenario::from_json(doc).unwrap();
         let spec = sc.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
-        let mode = mode_timeline(&label, &fc.with_telemetry(spec));
+        let mode = mode_timeline(&label, &fc.with_telemetry(spec)).unwrap();
         let rows = rows(&mode);
         let peak =
             |key: &str| -> f64 { rows.iter().map(|r| row_f64(r, key)).fold(0.0_f64, f64::max) };
