@@ -24,6 +24,7 @@
 //! nanoseconds per loop iteration grow more than [`MAX_STEP_GROWTH`]×
 //! across any 4× step in clients.
 
+use mpdash_bench::cli::{commit, machine};
 use mpdash_mptcp::SchedulerSpec;
 use mpdash_results::Json;
 use mpdash_session::TransportMode;
@@ -88,41 +89,6 @@ fn measure(clients: usize) -> Point {
     }
 }
 
-/// `git rev-parse --short HEAD`, marked `-dirty` when the tree has
-/// uncommitted changes; `unknown` outside a git checkout.
-fn commit() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-    };
-    match git(&["rev-parse", "--short", "HEAD"]) {
-        Some(head)
-            if git(&["status", "--porcelain", "--untracked-files=no"])
-                .is_some_and(|s| !s.is_empty()) =>
-        {
-            format!("{head}-dirty")
-        }
-        Some(head) => head,
-        None => "unknown".into(),
-    }
-}
-
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
@@ -169,18 +135,7 @@ fn main() {
             Json::from("exp_sched contended fleet: mpdash_rate + qaware, fifo AP + cell sector"),
         ),
         ("commit", Json::from(commit())),
-        (
-            "machine",
-            Json::obj([
-                ("os", Json::from(std::env::consts::OS)),
-                ("arch", Json::from(std::env::consts::ARCH)),
-                (
-                    "nproc",
-                    Json::from(std::thread::available_parallelism().map_or(0, |n| n.get())),
-                ),
-                ("cpu_model", Json::from(cpu_model())),
-            ]),
-        ),
+        ("machine", machine()),
         ("reps_per_size", Json::from(REPS)),
         ("points", Json::arr(points.iter().map(Point::to_json))),
     ]);

@@ -36,7 +36,7 @@ use mpdash_fleet::{
     ChurnSpec, FaultDomainSpec, FleetConfig, FleetReport, OverloadPolicy, SharedLinkSpec,
 };
 use mpdash_link::{FaultScript, SharedBottleneckConfig};
-use mpdash_obs::TelemetrySpec;
+use mpdash_obs::{Metric, TelemetrySpec};
 use mpdash_results::{ExperimentResult, Json, ScalarGroup};
 use mpdash_session::{
     run_batch, run_batch_with, BatchResult, Job, JobReport, SessionConfig, TransportMode,
@@ -185,8 +185,8 @@ fn member_outage_cell_share(report: &FleetReport) -> f64 {
         for (i, c) in e.cells() {
             let start = i as f64 * len;
             if start + len > OUTAGE_WINDOW_S.0 && start < OUTAGE_WINDOW_S.1 {
-                wifi += c.counter("wifi_bytes");
-                cell += c.counter("cell_bytes");
+                wifi += c.counter(Metric::WifiBytes);
+                cell += c.counter(Metric::CellBytes);
             }
         }
     }

@@ -31,7 +31,7 @@ use mpdash_link::{
     Calendar, FaultScript, Next, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats,
 };
 use mpdash_obs::{
-    telemetry_from_env, EpochSeries, InvariantViolation, MetricsSnapshot, TelemetrySpec,
+    telemetry_from_env, EpochSeries, InvariantViolation, Metric, MetricsSnapshot, TelemetrySpec,
     TraceEvent, Watchdog,
 };
 use mpdash_results::Json;
@@ -859,12 +859,12 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     let (dk, dpath) = route[i][drop.flow];
                     sessions[dk].on_shared_drop(dpath, drop.ticket, drop.at);
                     if let Some(e) = profile.epochs.as_mut() {
-                        e.inc(t, "loop_aqm_drops");
+                        e.inc(t, Metric::LoopAqmDrops);
                     }
                 }
                 profile.departures_popped += 1;
                 if let Some(e) = profile.epochs.as_mut() {
-                    e.inc(t, "loop_departures");
+                    e.inc(t, Metric::LoopDepartures);
                 }
                 if let Some(wd) = watchdog.as_mut() {
                     wd.check_conservation(i, bottlenecks[i].conservation_counters())?;
@@ -897,7 +897,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                             shed[k] = true;
                             shed_sessions += 1;
                             if let Some(e) = profile.epochs.as_mut() {
-                                e.inc(t, "fleet_shed");
+                                e.inc(t, Metric::FleetShed);
                             }
                             fleet_tracer.emit_with(t, || TraceEvent::SessionShed {
                                 client: k,
@@ -912,13 +912,13 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     arrived[k] = true;
                     active += 1;
                     if let Some(e) = profile.epochs.as_mut() {
-                        e.inc(t, "fleet_arrivals");
+                        e.inc(t, Metric::FleetArrivals);
                     }
                 }
                 sessions[k].step_once();
                 profile.session_steps += 1;
                 if let Some(e) = profile.epochs.as_mut() {
-                    e.inc(t, "loop_steps");
+                    e.inc(t, Metric::LoopSteps);
                 }
                 if let Some(wd) = watchdog.as_mut() {
                     wd.check_breakers(k, sessions[k].breaker_sanity())?;
@@ -934,7 +934,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     done[k] = true;
                     active -= 1;
                     if let Some(e) = profile.epochs.as_mut() {
-                        e.inc(t, "fleet_departures");
+                        e.inc(t, Metric::FleetDepartures);
                     }
                 }
                 charge(&mut wall, |w| &mut w.step_ns);
@@ -1297,10 +1297,10 @@ mod tests {
 
         // The merged fleet series reconciles with the summed reports.
         let fleet = on.epochs.as_ref().expect("telemetry on");
-        assert_eq!(fleet.counter_total("wifi_bytes"), on.total_wifi_bytes);
-        assert_eq!(fleet.counter_total("cell_bytes"), on.total_cell_bytes);
+        assert_eq!(fleet.counter_total(Metric::WifiBytes), on.total_wifi_bytes);
+        assert_eq!(fleet.counter_total(Metric::CellBytes), on.total_cell_bytes);
         let chunk_sum: u64 = on.sessions.iter().map(|s| s.chunks.len() as u64).sum();
-        assert_eq!(fleet.counter_total("chunks"), chunk_sum);
+        assert_eq!(fleet.counter_total(Metric::Chunks), chunk_sum);
 
         // Loop accounting: every event was either a pop or a step, and
         // the epoch view re-adds to the same totals.
@@ -1308,15 +1308,18 @@ mod tests {
         assert_eq!(p.loop_iterations, p.departures_popped + p.session_steps + 1);
         let loop_epochs = p.epochs.as_ref().expect("telemetry on");
         assert_eq!(
-            loop_epochs.counter_total("loop_departures"),
+            loop_epochs.counter_total(Metric::LoopDepartures),
             p.departures_popped
         );
-        assert_eq!(loop_epochs.counter_total("loop_steps"), p.session_steps);
+        assert_eq!(
+            loop_epochs.counter_total(Metric::LoopSteps),
+            p.session_steps
+        );
 
         // The shared AP recorded its own epoch series.
         let bn = on.bottlenecks[0].epochs.as_ref().expect("telemetry on");
         assert_eq!(
-            bn.counter_total("shared_delivered_bytes"),
+            bn.counter_total(Metric::SharedDeliveredBytes),
             on.bottlenecks[0].stats.delivered_bytes
         );
     }

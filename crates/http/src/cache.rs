@@ -19,8 +19,10 @@
 //!   instead of the origin's fault script and RTT penalty.
 //!
 //! The handle is `Arc<Mutex<..>>` so one cache instance can sit behind
-//! every client of a fleet, mirroring the `SharedBottleneck` pattern.
-//! The fleet loop is sequential over one virtual clock, so lock order
+//! every client of a fleet. Unlike the single-threaded
+//! `SharedBottleneck`, it must be `Send`: it rides in the session
+//! config that batch jobs carry to worker threads, and it is touched
+//! once per chunk, not per packet. The fleet loop is sequential over one virtual clock, so lock order
 //! is deterministic and artifacts stay bit-identical at any
 //! `MPDASH_WORKERS` (each batch job builds its own cache).
 

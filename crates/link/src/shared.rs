@@ -29,17 +29,22 @@
 //! between them with a byte quantum, which keeps one aggressive flow from
 //! starving the others.
 //!
-//! The handle is `Clone` + `Send` (an `Arc<Mutex<_>>`) so links owned by
-//! different sessions — and fleet replicas running on batch-runner worker
-//! threads — can subscribe to the same resource. All scheduling decisions
-//! are integer/byte arithmetic on virtual time: bit-deterministic.
+//! The handle is a cheap `Clone` (an `Rc<RefCell<_>>`) so links owned by
+//! different sessions can subscribe to the same resource. It is
+//! single-threaded on purpose: a fleet builds its bottlenecks inside its
+//! own batch job and steps every session and bottleneck on that one
+//! thread, so the per-packet offer and departure paths take no lock.
+//! Parallelism is across fleets, never inside one. All scheduling
+//! decisions are integer/byte arithmetic on virtual time:
+//! bit-deterministic.
 
 use crate::aqm::{AqmConfig, AqmVerdict, Codel, Pie};
 use crate::link::DropReason;
-use mpdash_obs::{EpochSeries, MetricsRegistry, MetricsSnapshot, TelemetrySpec};
+use mpdash_obs::{EpochSeries, Metric, MetricsRegistry, MetricsSnapshot, TelemetrySpec};
 use mpdash_sim::{derive_seed, Rate, SimTime};
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Dense index of one subscribing subflow (assigned by
 /// [`SharedBottleneck::subscribe`] in subscription order).
@@ -412,19 +417,19 @@ impl Inner {
         let fl = &mut self.flows[flow].stats;
         fl.dropped_bytes += size;
         fl.dropped_packets += 1;
-        self.metrics.inc("aqm_dropped_packets");
+        self.metrics.inc(Metric::AqmDroppedPackets);
         if let Some(series) = &mut self.series {
-            series.add(now, "shared_dropped_bytes", size);
-            series.inc(now, "aqm_dropped_packets");
+            series.add(now, Metric::SharedDroppedBytes, size);
+            series.inc(now, Metric::AqmDroppedPackets);
         }
     }
 
     /// Count one ECN mark.
     fn count_mark(&mut self, now: SimTime) {
         self.marked_packets += 1;
-        self.metrics.inc("aqm_marked_packets");
+        self.metrics.inc(Metric::AqmMarkedPackets);
         if let Some(series) = &mut self.series {
-            series.inc(now, "aqm_marked_packets");
+            series.inc(now, Metric::AqmMarkedPackets);
         }
     }
 
@@ -432,7 +437,7 @@ impl Inner {
     /// departure sample (telemetry only).
     fn observe_prob(&mut self, now: SimTime, ppm: u64) {
         if let Some(series) = &mut self.series {
-            series.observe(now, "aqm_drop_prob_ppm", ppm);
+            series.observe(now, Metric::AqmDropProbPpm, ppm);
         }
     }
 }
@@ -446,7 +451,7 @@ fn check_aqm(a: &AqmConfig) {
 /// Clone-able handle to one shared bottleneck. See module docs.
 #[derive(Clone)]
 pub struct SharedBottleneck {
-    inner: Arc<Mutex<Inner>>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 impl SharedBottleneck {
@@ -480,7 +485,7 @@ impl SharedBottleneck {
             }
         };
         SharedBottleneck {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 cfg,
                 flows: Vec::new(),
                 fifo: VecDeque::new(),
@@ -508,13 +513,13 @@ impl SharedBottleneck {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("shared bottleneck poisoned")
+    fn state(&self) -> RefMut<'_, Inner> {
+        self.inner.borrow_mut()
     }
 
     /// Register one subscribing subflow and return its dense id.
     pub fn subscribe(&self) -> FlowId {
-        let mut g = self.lock();
+        let mut g = self.state();
         g.flows.push(FlowState::new());
         let id = g.flows.len() - 1;
         // FQ-PIE: one controller per flow, on an independently derived
@@ -530,26 +535,26 @@ impl SharedBottleneck {
 
     /// Number of subscribed flows.
     pub fn n_flows(&self) -> usize {
-        self.lock().flows.len()
+        self.state().flows.len()
     }
 
     /// The configured discipline.
     pub fn discipline(&self) -> QueueDiscipline {
-        self.lock().cfg.discipline
+        self.state().cfg.discipline
     }
 
     /// Bytes currently in the system (waiting plus in service) — the
     /// cross-layer occupancy signal queue-aware schedulers read on the
-    /// pick hot path. One lock, no allocation, strictly read-only.
+    /// pick hot path. No allocation, strictly read-only.
     pub fn occupancy_bytes(&self) -> u64 {
-        self.lock().occupancy()
+        self.state().occupancy()
     }
 
     /// Offer a packet from `flow` at `now`. Offers must arrive in
     /// non-decreasing `now` order (the co-simulation loop's invariant).
     pub fn offer(&self, now: SimTime, flow: FlowId, size: u64) -> SharedOutcome {
         debug_assert!(size > 0, "packets must be non-empty");
-        let mut g = self.lock();
+        let mut g = self.state();
         assert!(flow < g.flows.len(), "offer from unsubscribed flow {flow}");
         g.offered_bytes += size;
         g.offered_packets += 1;
@@ -564,7 +569,7 @@ impl SharedBottleneck {
             fl.dropped_bytes += size;
             fl.dropped_packets += 1;
             if let Some(series) = &mut g.series {
-                series.add(now, "shared_dropped_bytes", size);
+                series.add(now, Metric::SharedDroppedBytes, size);
             }
             return SharedOutcome::Dropped(DropReason::QueueOverflow);
         }
@@ -627,17 +632,17 @@ impl SharedBottleneck {
             }
         }
         let depth = g.occupancy();
-        g.metrics.observe("queue_depth_bytes", depth);
+        g.metrics.observe(Metric::QueueDepthBytes, depth);
         if let Some(series) = &mut g.series {
-            series.observe(now, "queue_depth_bytes", depth);
-            series.add(now, "shared_offered_bytes", size);
+            series.observe(now, Metric::QueueDepthBytes, depth);
+            series.add(now, Metric::SharedOfferedBytes, size);
         }
         SharedOutcome::Queued { ticket }
     }
 
     /// When the in-service packet finishes serializing, if any.
     pub fn next_departure(&self) -> Option<SimTime> {
-        self.lock().in_service.map(|s| s.depart_at)
+        self.state().in_service.map(|s| s.depart_at)
     }
 
     /// Pop the completed in-service packet and start serving the next
@@ -651,7 +656,7 @@ impl SharedBottleneck {
     /// departing packet was always selected earlier than anything
     /// dropped here).
     pub fn pop_departure(&self) -> Option<Departure> {
-        let mut g = self.lock();
+        let mut g = self.state();
         let done = g.in_service.take()?;
         g.delivered_bytes += done.size;
         g.delivered_packets += 1;
@@ -662,14 +667,14 @@ impl SharedBottleneck {
             fl.delivered_packets += 1;
         }
         g.metrics
-            .observe("queue_wait_ms", waited.as_millis_f64() as u64);
+            .observe(Metric::QueueWaitMs, waited.as_millis_f64() as u64);
         if let Some(series) = &mut g.series {
             series.observe(
                 done.depart_at,
-                "queue_wait_ms",
+                Metric::QueueWaitMs,
                 waited.as_millis_f64() as u64,
             );
-            series.add(done.depart_at, "shared_delivered_bytes", done.size);
+            series.add(done.depart_at, Metric::SharedDeliveredBytes, done.size);
         }
         // Feed the departure's sojourn to PIE (its queue-delay
         // estimator) and expose the updated probability to telemetry.
@@ -747,15 +752,15 @@ impl SharedBottleneck {
     /// `mem::take` on an empty `Vec` never allocates, so probing this
     /// on every loop iteration is free for non-AQM fleets.
     pub fn take_aqm_drops(&self) -> Vec<SharedDrop> {
-        std::mem::take(&mut self.lock().pending_drops)
+        std::mem::take(&mut self.state().pending_drops)
     }
 
     /// Cheap whole-bottleneck conservation counters for the runtime
     /// watchdog: unlike [`SharedBottleneck::stats`] this never builds
-    /// the per-flow vector — one lock, eight copies, no allocation —
+    /// the per-flow vector — eight copies, no allocation —
     /// so the fleet loop can probe it every iteration.
     pub fn conservation_counters(&self) -> mpdash_obs::ConservationCounters {
-        let g = self.lock();
+        let g = self.state();
         mpdash_obs::ConservationCounters {
             offered_bytes: g.offered_bytes,
             delivered_bytes: g.delivered_bytes,
@@ -770,7 +775,7 @@ impl SharedBottleneck {
 
     /// Conservation counters (see [`SharedStats`]).
     pub fn stats(&self) -> SharedStats {
-        let g = self.lock();
+        let g = self.state();
         SharedStats {
             offered_bytes: g.offered_bytes,
             delivered_bytes: g.delivered_bytes,
@@ -792,7 +797,7 @@ impl SharedBottleneck {
     /// Snapshot of the bottleneck's metrics: the `queue_depth_bytes` and
     /// `queue_wait_ms` histograms.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.lock().metrics.snapshot()
+        self.state().metrics.snapshot()
     }
 
     /// Start rolling queue signals (`queue_depth_bytes`, `queue_wait_ms`
@@ -800,12 +805,12 @@ impl SharedBottleneck {
     /// virtual-time epochs. Observe-only: enabling telemetry changes no
     /// scheduling decision and no artifact byte.
     pub fn enable_telemetry(&self, spec: TelemetrySpec) {
-        self.lock().series = Some(EpochSeries::new(spec));
+        self.state().series = Some(EpochSeries::new(spec));
     }
 
     /// Clone of the epoch rollups, if telemetry is enabled.
     pub fn epoch_series(&self) -> Option<EpochSeries> {
-        self.lock().series.clone()
+        self.state().series.clone()
     }
 }
 
@@ -1236,12 +1241,7 @@ mod tests {
             let f = b.subscribe();
             saturate(&b, &[f], 3);
             let snap = b.metrics_snapshot();
-            let h = snap
-                .histograms
-                .iter()
-                .find(|(k, _)| k == "queue_wait_ms")
-                .map(|(_, h)| h.clone())
-                .unwrap();
+            let h = snap.histogram(Metric::QueueWaitMs).unwrap();
             h.sum as f64 / h.count.max(1) as f64
         };
         let fifo_wait = mk(QueueDiscipline::Fifo);

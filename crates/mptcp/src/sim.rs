@@ -1005,12 +1005,7 @@ mod tests {
             let marks = drain_shared(&mut sim, &bn, total);
             let mean_wait_ms = {
                 let snap = bn.metrics_snapshot();
-                let h = snap
-                    .histograms
-                    .iter()
-                    .find(|(k, _)| k == "queue_wait_ms")
-                    .map(|(_, h)| h.clone())
-                    .unwrap();
+                let h = snap.histogram(mpdash_obs::Metric::QueueWaitMs).unwrap();
                 h.sum as f64 / h.count.max(1) as f64
             };
             (marks, bn.stats(), mean_wait_ms)

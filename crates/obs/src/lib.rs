@@ -15,8 +15,15 @@
 //!   event construction is deferred behind a closure so the hot path
 //!   pays nothing when tracing is off.
 //! * [`RingSink`] / [`NdjsonSink`] — in-memory and NDJSON-file sinks.
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters, gauges
-//!   and log-scale histograms with deterministic (insertion) ordering,
+//! * [`Metric`] — the typed catalogue of every metric name, one
+//!   variant and one doc line each, declared in name order. Recording
+//!   sites pass a `Metric`, so the per-packet and per-tick observe paths
+//!   compare one-byte keys and allocate no name; names appear only at
+//!   serialization, through [`Metric::name`]. [`EpochSeries`] writes
+//!   also take a `&str` ([`IntoMetric`]), resolved once on entry through
+//!   [`Metric::from_name`]; a name outside the catalogue panics.
+//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — counters and log-scale
+//!   histograms keyed by [`Metric`] in deterministic first-touch order,
 //!   snapshotted into session reports and JSON artifacts.
 //! * [`EpochSeries`] / [`TelemetrySpec`] — fixed virtual-time epoch
 //!   rollups whose `merge` is associative and commutative to the bit,
@@ -31,12 +38,14 @@
 //! simulation's decisions never depend on what observers saw.
 
 pub mod event;
+pub mod metric;
 pub mod metrics;
 pub mod sink;
 pub mod timeseries;
 pub mod watchdog;
 
 pub use event::TraceEvent;
+pub use metric::{IntoMetric, Metric};
 pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use sink::{NdjsonSink, NullSink, RingSink, TraceSink, Tracer};
 pub use timeseries::{telemetry_from_env, EpochCell, EpochSeries, TelemetrySpec};

@@ -1,14 +1,16 @@
-//! A small metrics registry: named counters, gauges, and log-scale
-//! histograms with **deterministic** ordering and serialization.
+//! A small metrics registry: counters and log-scale histograms keyed by
+//! the [`Metric`] catalogue, with **deterministic** ordering and
+//! serialization.
 //!
-//! Determinism is the design constraint everything here serves: metric
-//! names keep insertion order (no `HashMap` iteration order leaking
-//! into artifacts), histogram buckets are powers of two (no float
+//! Determinism is the design constraint everything here serves: metrics
+//! keep first-touch order (no `HashMap` iteration order leaking into
+//! artifacts), histogram buckets are powers of two (no float
 //! boundary computation), and the JSON encoding reuses the byte-stable
 //! [`Json`] writer. A [`MetricsSnapshot`] can therefore live inside a
 //! session report and the experiment artifacts without breaking the
 //! batch runner's byte-identity checks.
 
+use crate::metric::Metric;
 use mpdash_results::Json;
 
 /// A power-of-two histogram: bucket `i` counts observations in
@@ -76,13 +78,13 @@ impl LogHistogram {
 }
 
 /// Mutable registry filled during a run. Lookups are linear over a
-/// small `Vec` — sessions register a dozen names, not thousands — which
-/// buys insertion-ordered, hash-free determinism.
+/// small `Vec` of one-byte keys — a session touches a few dozen
+/// metrics, a bottleneck four — which buys first-touch-ordered,
+/// hash-free determinism.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, LogHistogram)>,
+    counters: Vec<(Metric, u64)>,
+    histograms: Vec<(Metric, LogHistogram)>,
 }
 
 impl MetricsRegistry {
@@ -91,60 +93,55 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Add `n` to the named counter, creating it at zero first.
-    pub fn add(&mut self, name: &str, n: u64) {
-        match self.counters.iter_mut().find(|(k, _)| k == name) {
+    /// Add `n` to a counter, creating it at zero first.
+    pub fn add(&mut self, m: Metric, n: u64) {
+        match self.counters.iter_mut().find(|(k, _)| *k == m) {
             Some((_, v)) => *v += n,
-            None => self.counters.push((name.to_string(), n)),
+            None => self.counters.push((m, n)),
         }
     }
 
-    /// Increment the named counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
+    /// Increment a counter by one.
+    pub fn inc(&mut self, m: Metric) {
+        self.add(m, 1);
     }
 
-    /// Set the named gauge to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        match self.gauges.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => *v = value,
-            None => self.gauges.push((name.to_string(), value)),
-        }
-    }
-
-    /// Record `value` into the named log-scale histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        match self.histograms.iter_mut().find(|(k, _)| k == name) {
+    /// Record `value` into a log-scale histogram.
+    pub fn observe(&mut self, m: Metric, value: u64) {
+        match self.histograms.iter_mut().find(|(k, _)| *k == m) {
             Some((_, h)) => h.observe(value),
             None => {
                 let mut h = LogHistogram::default();
                 h.observe(value);
-                self.histograms.push((name.to_string(), h));
+                self.histograms.push((m, h));
             }
         }
     }
 
     /// Current value of a counter (zero if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+    pub fn counter(&self, m: Metric) -> u64 {
+        counter_in(&self.counters, m)
     }
 
     /// Freeze into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
             histograms: self
                 .histograms
                 .iter()
-                .map(|(name, h)| (name.clone(), h.snapshot()))
+                .map(|(m, h)| (*m, h.snapshot()))
                 .collect(),
         }
     }
+}
+
+fn counter_in(counters: &[(Metric, u64)], m: Metric) -> u64 {
+    counters
+        .iter()
+        .find(|(k, _)| *k == m)
+        .map(|(_, v)| *v)
+        .unwrap_or(0)
 }
 
 /// Frozen histogram: `(bucket lower bound, count)` pairs, empty buckets
@@ -163,79 +160,65 @@ pub struct HistogramSnapshot {
 /// for embedding in reports and byte-stable artifacts.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Named counters in registration order.
-    pub counters: Vec<(String, u64)>,
-    /// Named gauges in registration order.
-    pub gauges: Vec<(String, f64)>,
-    /// Named histograms in registration order.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    /// Counters in first-touch order.
+    pub counters: Vec<(Metric, u64)>,
+    /// Histograms in first-touch order.
+    pub histograms: Vec<(Metric, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
     /// True when nothing was ever registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Counter value by name (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
+    /// Counter value (zero if absent).
+    pub fn counter(&self, m: Metric) -> u64 {
+        counter_in(&self.counters, m)
+    }
+
+    /// Histogram, if any value was observed.
+    pub fn histogram(&self, m: Metric) -> Option<&HistogramSnapshot> {
+        self.histograms
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+            .find(|(k, _)| *k == m)
+            .map(|(_, h)| h)
     }
 
     /// Deterministic JSON encoding:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
-    /// {"count", "sum", "buckets": [[lo, n], ...]}}}`.
+    /// `{"counters": {...}, "gauges": {}, "histograms": {name:
+    /// {"count", "sum", "buckets": [[lo, n], ...]}}}`. The empty
+    /// `"gauges"` object keeps the report schema of earlier builds.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
                 "counters",
-                Json::Obj(
+                Json::obj(
                     self.counters
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(*v)))
-                        .collect(),
+                        .map(|&(m, v)| (m.name(), Json::from(v))),
                 ),
             ),
-            (
-                "gauges",
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                        .collect(),
-                ),
-            ),
+            ("gauges", Json::Obj(Vec::new())),
             (
                 "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| {
+                Json::obj(self.histograms.iter().map(|(m, h)| {
+                    (
+                        m.name(),
+                        Json::obj([
+                            ("count", Json::from(h.count)),
+                            ("sum", Json::from(h.sum)),
                             (
-                                k.clone(),
-                                Json::obj([
-                                    ("count", Json::from(h.count)),
-                                    ("sum", Json::from(h.sum)),
-                                    (
-                                        "buckets",
-                                        Json::arr(h.buckets.iter().map(|&(lo, n)| {
-                                            Json::arr([Json::from(lo), Json::from(n)])
-                                        })),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
+                                "buckets",
+                                Json::arr(
+                                    h.buckets
+                                        .iter()
+                                        .map(|&(lo, n)| Json::arr([Json::from(lo), Json::from(n)])),
+                                ),
+                            ),
+                        ]),
+                    )
+                })),
             ),
         ])
     }
@@ -244,28 +227,28 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Metric::{ChunkBytes, ChunkFetchMs, ChunksFetched, WifiBytes};
 
     #[test]
-    fn counters_and_gauges_keep_insertion_order() {
+    fn counters_keep_first_touch_order() {
         let mut m = MetricsRegistry::new();
-        m.inc("zebra");
-        m.inc("apple");
-        m.add("zebra", 2);
-        m.set_gauge("peak", 7.0);
+        m.inc(WifiBytes);
+        m.inc(ChunksFetched);
+        m.add(WifiBytes, 2);
         let s = m.snapshot();
-        assert_eq!(s.counters, vec![("zebra".into(), 3), ("apple".into(), 1)]);
-        assert_eq!(s.gauge("peak"), Some(7.0));
-        assert_eq!(s.counter("missing"), 0);
+        assert_eq!(s.counters, vec![(WifiBytes, 3), (ChunksFetched, 1)]);
+        assert_eq!(s.counter(ChunkBytes), 0);
+        assert_eq!(m.counter(WifiBytes), 3);
     }
 
     #[test]
     fn log_histogram_buckets_are_powers_of_two() {
         let mut m = MetricsRegistry::new();
         for v in [0, 1, 2, 3, 4, 1000] {
-            m.observe("chunk_ms", v);
+            m.observe(ChunkFetchMs, v);
         }
         let s = m.snapshot();
-        let h = &s.histograms[0].1;
+        let h = s.histogram(ChunkFetchMs).unwrap();
         assert_eq!(h.count, 6);
         assert_eq!(h.sum, 1010);
         // 0 and 1 → bucket 1<<0; 2,3 → 1<<1; 4 → 1<<2; 1000 → 1<<9.
@@ -275,12 +258,12 @@ mod tests {
     #[test]
     fn snapshot_json_is_byte_stable() {
         let mut m = MetricsRegistry::new();
-        m.inc("chunks");
-        m.observe("bytes", 300_000);
-        m.set_gauge("peak_queue", 41.0);
+        m.inc(ChunksFetched);
+        m.observe(ChunkBytes, 300_000);
         let a = m.snapshot().to_json().to_pretty();
         let b = m.snapshot().to_json().to_pretty();
         assert_eq!(a, b);
-        assert!(a.contains("\"chunks\""));
+        assert!(a.contains("\"chunks_fetched\""));
+        assert!(a.contains("\"gauges\": {}"), "{a}");
     }
 }

@@ -15,8 +15,9 @@
 //! would not, so float-valued signals are observed into histograms
 //! (count + sum recover the mean deterministically).
 //!
-//! Names inside an epoch are kept **sorted**, not insertion-ordered
-//! like [`MetricsRegistry`](crate::MetricsRegistry): two sessions that
+//! Metrics inside an epoch are kept **sorted** by [`Metric`], which is
+//! name order, not insertion-ordered like
+//! [`MetricsRegistry`](crate::MetricsRegistry): two sessions that
 //! touch the same signals in different orders must still serialize
 //! identically after a merge, whichever series was the merge target.
 //!
@@ -24,6 +25,7 @@
 //! rollup is observe-only and byte-invariant under wall-clock jitter,
 //! worker count, and whether any other observer is attached.
 
+use crate::metric::{IntoMetric, Metric};
 use crate::metrics::LogHistogram;
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
@@ -51,12 +53,18 @@ impl TelemetrySpec {
         TelemetrySpec::new(SimDuration::from_secs_f64(secs))
     }
 
+    /// The shortest epoch a scenario or `MPDASH_TELEMETRY` may ask for.
+    /// A series is dense from epoch 0, so a session of `T` seconds holds
+    /// `T / epoch` cells: one millisecond keeps even an hour-long session
+    /// to a few million small cells, while 1 ns would ask for ~10¹² cells.
+    pub const MIN_EPOCH: SimDuration = SimDuration::from_millis(1);
+
     /// A spec with an epoch of `secs` seconds, or `None` when the epoch
-    /// would be zero: `secs` is not a finite positive number, or it
-    /// rounds to 0 ns (e.g. `1e-12`).
+    /// would be shorter than [`TelemetrySpec::MIN_EPOCH`] (this covers
+    /// zero, negative and non-finite `secs`).
     pub fn try_seconds(secs: f64) -> Option<Self> {
         let epoch = SimDuration::from_secs_f64(secs);
-        (!epoch.is_zero()).then_some(TelemetrySpec { epoch })
+        (epoch >= Self::MIN_EPOCH).then_some(TelemetrySpec { epoch })
     }
 }
 
@@ -74,8 +82,8 @@ impl Default for TelemetrySpec {
 /// process (the same pattern as [`Tracer::from_env`](crate::Tracer::from_env)):
 ///
 /// * unset / `""` / `"0"` / `"off"` — `None` (telemetry disabled);
-/// * a positive number — epoch width in (possibly fractional) seconds,
-///   at least 1 ns after rounding;
+/// * a number of seconds, at least [`TelemetrySpec::MIN_EPOCH`] — the
+///   epoch width;
 /// * `"1"` is therefore the natural "just turn it on" value: one-second
 ///   epochs.
 ///
@@ -105,52 +113,48 @@ pub fn telemetry_from_env() -> Option<TelemetrySpec> {
     })
 }
 
-/// One epoch's rollup: sorted named counters and log₂ histograms.
+/// One epoch's rollup: counters and log₂ histograms, each sorted by
+/// [`Metric`] (which is name order).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochCell {
-    /// `(name, total)` sorted by name.
-    counters: Vec<(String, u64)>,
-    /// `(name, histogram)` sorted by name.
-    histograms: Vec<(String, LogHistogram)>,
+    /// `(metric, total)` sorted by metric.
+    counters: Vec<(Metric, u64)>,
+    /// `(metric, histogram)` sorted by metric.
+    histograms: Vec<(Metric, LogHistogram)>,
 }
 
 impl EpochCell {
-    fn add(&mut self, name: &str, n: u64) {
-        match self
-            .counters
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-        {
+    fn add(&mut self, m: Metric, n: u64) {
+        match self.counters.binary_search_by_key(&m, |&(k, _)| k) {
             Ok(i) => self.counters[i].1 += n,
-            Err(i) => self.counters.insert(i, (name.to_string(), n)),
+            Err(i) => self.counters.insert(i, (m, n)),
         }
     }
 
-    fn observe(&mut self, name: &str, value: u64) {
-        match self
-            .histograms
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-        {
-            Ok(i) => self.histograms[i].1.observe(value),
+    /// `m`'s histogram, inserted empty first when absent.
+    fn histogram_mut(&mut self, m: Metric) -> &mut LogHistogram {
+        let i = match self.histograms.binary_search_by_key(&m, |(k, _)| *k) {
+            Ok(i) => i,
             Err(i) => {
-                let mut h = LogHistogram::default();
-                h.observe(value);
-                self.histograms.insert(i, (name.to_string(), h));
+                self.histograms.insert(i, (m, LogHistogram::default()));
+                i
             }
-        }
+        };
+        &mut self.histograms[i].1
     }
 
-    /// Counter value by name (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    /// Counter value (zero if absent).
+    pub fn counter(&self, m: Metric) -> u64 {
         self.counters
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .binary_search_by_key(&m, |&(k, _)| k)
             .map(|i| self.counters[i].1)
             .unwrap_or(0)
     }
 
-    /// Histogram by name, if any value was observed this epoch.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
+    /// Histogram, if any value was observed this epoch.
+    pub fn histogram(&self, m: Metric) -> Option<&LogHistogram> {
         self.histograms
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .binary_search_by_key(&m, |(k, _)| *k)
             .map(|i| &self.histograms[i].1)
             .ok()
     }
@@ -161,17 +165,11 @@ impl EpochCell {
     }
 
     fn merge(&mut self, other: &EpochCell) {
-        for (name, n) in &other.counters {
-            self.add(name, *n);
+        for &(m, n) in &other.counters {
+            self.add(m, n);
         }
-        for (name, h) in &other.histograms {
-            match self
-                .histograms
-                .binary_search_by(|(k, _)| k.as_str().cmp(name.as_str()))
-            {
-                Ok(i) => self.histograms[i].1.merge(h),
-                Err(i) => self.histograms.insert(i, (name.clone(), h.clone())),
-            }
+        for (m, h) in &other.histograms {
+            self.histogram_mut(*m).merge(h);
         }
     }
 
@@ -179,48 +177,65 @@ impl EpochCell {
         Json::obj([
             (
                 "counters",
-                Json::Obj(
+                Json::obj(
                     self.counters
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(*v)))
-                        .collect(),
+                        .map(|&(m, v)| (m.name(), Json::from(v))),
                 ),
             ),
             (
                 "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| {
-                            let s = h.snapshot();
+                Json::obj(self.histograms.iter().map(|(m, h)| {
+                    let s = h.snapshot();
+                    (
+                        m.name(),
+                        Json::obj([
+                            ("count", Json::from(s.count)),
+                            ("sum", Json::from(s.sum)),
                             (
-                                k.clone(),
-                                Json::obj([
-                                    ("count", Json::from(s.count)),
-                                    ("sum", Json::from(s.sum)),
-                                    (
-                                        "buckets",
-                                        Json::arr(s.buckets.iter().map(|&(lo, n)| {
-                                            Json::arr([Json::from(lo), Json::from(n)])
-                                        })),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
+                                "buckets",
+                                Json::arr(
+                                    s.buckets
+                                        .iter()
+                                        .map(|&(lo, n)| Json::arr([Json::from(lo), Json::from(n)])),
+                                ),
+                            ),
+                        ]),
+                    )
+                })),
             ),
         ])
     }
 }
 
+/// The epoch an [`EpochSeries`] last wrote to: its index and its
+/// `[lo, hi)` bounds in nanoseconds. Empty until the first write.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    index: usize,
+    lo: u64,
+    hi: u64,
+}
+
 /// A dense series of [`EpochCell`]s over virtual time, from epoch 0 up
 /// to the last epoch that recorded anything. See the module docs for
 /// the merge-determinism contract.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Writes take a [`Metric`] or its catalogue name (see [`IntoMetric`]);
+/// a name is resolved once, on entry, into the same typed path.
+#[derive(Clone, Debug)]
 pub struct EpochSeries {
     epoch: SimDuration,
     cells: Vec<EpochCell>,
+    /// Consecutive writes mostly land in one epoch; the cursor lets
+    /// them skip the index division. Not part of the series' value.
+    cursor: Cursor,
+}
+
+impl PartialEq for EpochSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.epoch == other.epoch && self.cells == other.cells
+    }
 }
 
 impl EpochSeries {
@@ -230,6 +245,7 @@ impl EpochSeries {
         EpochSeries {
             epoch: spec.epoch,
             cells: Vec::new(),
+            cursor: Cursor::default(),
         }
     }
 
@@ -244,26 +260,48 @@ impl EpochSeries {
     }
 
     fn cell_at(&mut self, t: SimTime) -> &mut EpochCell {
-        let i = self.index_of(t);
-        if self.cells.len() <= i {
-            self.cells.resize(i + 1, EpochCell::default());
+        let ns = t.as_nanos();
+        if !(self.cursor.lo <= ns && ns < self.cursor.hi) {
+            let width = self.epoch.as_nanos();
+            let i = ns / width;
+            let index = i as usize;
+            if self.cells.len() <= index {
+                self.cells.resize(index + 1, EpochCell::default());
+            }
+            let lo = i * width;
+            self.cursor = Cursor {
+                index,
+                lo,
+                hi: lo.saturating_add(width),
+            };
         }
-        &mut self.cells[i]
+        &mut self.cells[self.cursor.index]
     }
 
-    /// Add `n` to the named counter in `t`'s epoch.
-    pub fn add(&mut self, t: SimTime, name: &str, n: u64) {
-        self.cell_at(t).add(name, n);
+    /// Add `n` to a counter in `t`'s epoch.
+    ///
+    /// # Panics
+    /// If `m` is a name outside the [`Metric`] catalogue.
+    pub fn add(&mut self, t: SimTime, m: impl IntoMetric, n: u64) {
+        let m = m.into_metric();
+        self.cell_at(t).add(m, n);
     }
 
-    /// Increment the named counter in `t`'s epoch.
-    pub fn inc(&mut self, t: SimTime, name: &str) {
-        self.add(t, name, 1);
+    /// Increment a counter in `t`'s epoch.
+    ///
+    /// # Panics
+    /// If `m` is a name outside the [`Metric`] catalogue.
+    pub fn inc(&mut self, t: SimTime, m: impl IntoMetric) {
+        self.add(t, m, 1);
     }
 
-    /// Record `value` into the named log₂ histogram in `t`'s epoch.
-    pub fn observe(&mut self, t: SimTime, name: &str, value: u64) {
-        self.cell_at(t).observe(name, value);
+    /// Record `value` into a log₂ histogram in `t`'s epoch.
+    ///
+    /// # Panics
+    /// If `m` is a name outside the [`Metric`] catalogue.
+    pub fn observe(&mut self, t: SimTime, m: impl IntoMetric, value: u64) {
+        let m = m.into_metric();
+        self.cell_at(t).histogram_mut(m).observe(value);
     }
 
     /// Number of epochs (index of the last touched epoch + 1).
@@ -281,14 +319,14 @@ impl EpochSeries {
         self.cells.iter().enumerate()
     }
 
-    /// The named counter's value in every epoch, dense from epoch 0.
-    pub fn counter_series(&self, name: &str) -> Vec<u64> {
-        self.cells.iter().map(|c| c.counter(name)).collect()
+    /// A counter's value in every epoch, dense from epoch 0.
+    pub fn counter_series(&self, m: Metric) -> Vec<u64> {
+        self.cells.iter().map(|c| c.counter(m)).collect()
     }
 
-    /// The named counter summed over all epochs.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.cells.iter().map(|c| c.counter(name)).sum()
+    /// A counter summed over all epochs.
+    pub fn counter_total(&self, m: Metric) -> u64 {
+        self.cells.iter().map(|c| c.counter(m)).sum()
     }
 
     /// True when no epoch recorded anything.
@@ -331,6 +369,7 @@ impl EpochSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Metric::{BufferMs, Chunks, WifiBytes};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -341,12 +380,25 @@ mod tests {
     }
 
     #[test]
-    fn try_seconds_rejects_epochs_that_round_to_zero() {
+    fn try_seconds_rejects_epochs_below_one_millisecond() {
         assert_eq!(
             TelemetrySpec::try_seconds(2.0),
             Some(TelemetrySpec::seconds(2.0))
         );
-        for bad in [0.0, -1.0, 1e-12, f64::NAN, f64::INFINITY] {
+        assert_eq!(
+            TelemetrySpec::try_seconds(0.001).map(|s| s.epoch),
+            Some(TelemetrySpec::MIN_EPOCH)
+        );
+        for bad in [
+            0.0,
+            -1.0,
+            1e-12,
+            5e-10,
+            1e-9,
+            0.000_999,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
             assert_eq!(TelemetrySpec::try_seconds(bad), None, "{bad}");
         }
     }
@@ -354,20 +406,21 @@ mod tests {
     #[test]
     fn events_land_in_their_epoch() {
         let mut s = EpochSeries::new(spec2());
-        s.inc(t(0), "chunks");
-        s.inc(t(1), "chunks"); // still epoch 0: [0, 2)
-        s.inc(t(2), "chunks"); // epoch 1
-        s.add(t(5), "chunks", 3); // epoch 2
-        assert_eq!(s.counter_series("chunks"), vec![2, 1, 3]);
-        assert_eq!(s.counter_total("chunks"), 6);
+        s.inc(t(0), Chunks);
+        s.inc(t(1), Chunks); // still epoch 0: [0, 2)
+        s.inc(t(2), Chunks); // epoch 1
+        s.add(t(5), Chunks, 3); // epoch 2
+        s.inc(t(1), Chunks); // back to epoch 0
+        assert_eq!(s.counter_series(Chunks), vec![3, 1, 3]);
+        assert_eq!(s.counter_total(Chunks), 7);
         assert_eq!(s.n_epochs(), 3);
     }
 
     #[test]
     fn untouched_epochs_are_dense_zeros() {
         let mut s = EpochSeries::new(spec2());
-        s.inc(t(9), "x"); // epoch 4; 0..=3 exist but are empty
-        assert_eq!(s.counter_series("x"), vec![0, 0, 0, 0, 1]);
+        s.inc(t(9), Chunks); // epoch 4; 0..=3 exist but are empty
+        assert_eq!(s.counter_series(Chunks), vec![0, 0, 0, 0, 1]);
         assert!(s.cell(0).unwrap().is_empty());
         assert!(!s.is_empty());
     }
@@ -375,22 +428,48 @@ mod tests {
     #[test]
     fn names_serialize_sorted_regardless_of_insertion_order() {
         let mut a = EpochSeries::new(spec2());
-        a.inc(t(0), "zebra");
-        a.inc(t(0), "apple");
+        a.inc(t(0), WifiBytes);
+        a.inc(t(0), BufferMs);
         let mut b = EpochSeries::new(spec2());
-        b.inc(t(0), "apple");
-        b.inc(t(0), "zebra");
-        assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+        b.inc(t(0), BufferMs);
+        b.inc(t(0), WifiBytes);
+        let json = a.to_json().to_pretty();
+        assert_eq!(json, b.to_json().to_pretty());
+        assert!(json.find("buffer_ms") < json.find("wifi_bytes"), "{json}");
+    }
+
+    #[test]
+    fn names_and_metrics_record_the_same_bytes() {
+        let mut by_name = EpochSeries::new(spec2());
+        let mut by_metric = EpochSeries::new(spec2());
+        for (i, &m) in Metric::ALL.iter().enumerate() {
+            let (at, v) = (t(i as u64 % 7), i as u64 * 37);
+            by_name.add(at, m.name(), v);
+            by_name.observe(at, m.name(), v);
+            by_metric.add(at, m, v);
+            by_metric.observe(at, m, v);
+        }
+        assert_eq!(by_name, by_metric);
+        assert_eq!(
+            by_name.to_json().to_pretty(),
+            by_metric.to_json().to_pretty()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown metric name 'zebra'")]
+    fn recording_an_unknown_name_panics() {
+        EpochSeries::new(spec2()).inc(t(0), "zebra");
     }
 
     #[test]
     fn merge_is_commutative_bitwise() {
         let mut a = EpochSeries::new(spec2());
-        a.inc(t(0), "chunks");
-        a.observe(t(3), "buffer_ms", 900);
+        a.inc(t(0), Chunks);
+        a.observe(t(3), BufferMs, 900);
         let mut b = EpochSeries::new(spec2());
-        b.add(t(4), "chunks", 2);
-        b.observe(t(3), "buffer_ms", 40_000);
+        b.add(t(4), Chunks, 2);
+        b.observe(t(3), BufferMs, 40_000);
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -398,11 +477,8 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.to_json().to_pretty(), ba.to_json().to_pretty());
-        assert_eq!(ab.counter_series("chunks"), vec![1, 0, 2]);
-        assert_eq!(
-            ab.cell(1).unwrap().histogram("buffer_ms").unwrap().count(),
-            2
-        );
+        assert_eq!(ab.counter_series(Chunks), vec![1, 0, 2]);
+        assert_eq!(ab.cell(1).unwrap().histogram(BufferMs).unwrap().count(), 2);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   series and merging them (in any shard order) serializes to exactly
 //!   the bytes of the single-shard replay.
 
-use mpdash_obs::{EpochSeries, LogHistogram, TelemetrySpec};
+use mpdash_obs::{EpochSeries, LogHistogram, Metric, TelemetrySpec};
 use mpdash_sim::{Prng, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -20,32 +20,21 @@ use proptest::prelude::*;
 #[derive(Clone, Debug)]
 struct Event {
     at: SimTime,
-    name: &'static str,
+    metric: Metric,
     value: u64,
     histogram: bool,
 }
 
-const NAMES: [&str; 8] = [
-    "chunks",
-    "cell_bytes",
-    "buffer_ms",
-    "deadline_misses",
-    "queue_depth_bytes",
-    // AQM epoch cells: per-departure sojourn, PIE's drop probability,
-    // and the dequeue-drop counter must shard-merge like everything
-    // else or `exp_aqm` artifacts would drift across MPDASH_WORKERS.
-    "queue_wait_ms",
-    "aqm_drop_prob_ppm",
-    "aqm_dropped_packets",
-];
-
-/// Deterministically expand a seed into a random event stream.
+/// Deterministically expand a seed into a random event stream over the
+/// whole metric catalogue: every metric a session, bottleneck or fleet
+/// loop records must shard-merge alike, or artifacts would drift across
+/// `MPDASH_WORKERS`.
 fn events(seed: u64, n: usize) -> Vec<Event> {
     let mut rng = Prng::new(seed);
     (0..n)
         .map(|_| Event {
             at: SimTime::from_millis(rng.next_below(120_000)),
-            name: NAMES[rng.next_below(NAMES.len() as u64) as usize],
+            metric: Metric::ALL[rng.next_below(Metric::COUNT as u64) as usize],
             value: rng.next_below(1 << 22),
             histogram: rng.next_below(2) == 0,
         })
@@ -56,9 +45,9 @@ fn replay(spec: TelemetrySpec, events: &[Event]) -> EpochSeries {
     let mut s = EpochSeries::new(spec);
     for e in events {
         if e.histogram {
-            s.observe(e.at, e.name, e.value);
+            s.observe(e.at, e.metric, e.value);
         } else {
-            s.add(e.at, e.name, e.value);
+            s.add(e.at, e.metric, e.value);
         }
     }
     s
@@ -113,7 +102,7 @@ proptest! {
 
     /// Epoch-series merge is associative and commutative structurally
     /// and on serialized bytes, even when the streams touch different
-    /// names in different orders and span different epoch counts.
+    /// metrics in different orders and span different epoch counts.
     #[test]
     fn epoch_series_merge_is_associative_and_commutative(
         seed_a in 0u64..1_000_000,

@@ -33,7 +33,7 @@ use mpdash_http::{
 };
 use mpdash_link::PathId;
 use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, PktRecord, StepOutcome};
-use mpdash_obs::{telemetry_from_env, EpochSeries, MetricsRegistry, TraceEvent, Tracer};
+use mpdash_obs::{telemetry_from_env, EpochSeries, Metric, MetricsRegistry, TraceEvent, Tracer};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
 /// Progress-tick period while a chunk is in flight (one Holt-Winters slot,
@@ -265,15 +265,15 @@ impl StreamingSession {
 
     /// Add `n` to a telemetry counter in `now`'s epoch (no-op with
     /// telemetry off).
-    fn ts_add(&mut self, now: SimTime, name: &str, n: u64) {
+    fn ts_add(&mut self, now: SimTime, m: Metric, n: u64) {
         if let Some(ts) = self.telemetry.as_mut() {
-            ts.series.add(now, name, n);
+            ts.series.add(now, m, n);
         }
     }
 
     /// Increment a telemetry counter in `now`'s epoch.
-    fn ts_inc(&mut self, now: SimTime, name: &str) {
-        self.ts_add(now, name, 1);
+    fn ts_inc(&mut self, now: SimTime, m: Metric) {
+        self.ts_add(now, m, 1);
     }
 
     /// Sample cumulative signals into the epoch series: per-path byte
@@ -291,18 +291,21 @@ impl StreamingSession {
         let buffer_ms = self.player.buffer().as_millis_f64() as u64;
         let ts = self.telemetry.as_mut().expect("checked above");
         if wifi > ts.last_wifi_bytes {
-            ts.series.add(now, "wifi_bytes", wifi - ts.last_wifi_bytes);
+            ts.series
+                .add(now, Metric::WifiBytes, wifi - ts.last_wifi_bytes);
             ts.last_wifi_bytes = wifi;
         }
         if cell > ts.last_cell_bytes {
-            ts.series.add(now, "cell_bytes", cell - ts.last_cell_bytes);
+            ts.series
+                .add(now, Metric::CellBytes, cell - ts.last_cell_bytes);
             ts.last_cell_bytes = cell;
         }
         if stall_ms > ts.last_stall_ms {
-            ts.series.add(now, "stall_ms", stall_ms - ts.last_stall_ms);
+            ts.series
+                .add(now, Metric::StallMs, stall_ms - ts.last_stall_ms);
             ts.last_stall_ms = stall_ms;
         }
-        ts.series.observe(now, "buffer_ms", buffer_ms);
+        ts.series.observe(now, Metric::BufferMs, buffer_ms);
     }
 
     /// Emit breaker transitions to the trace and count trips.
@@ -310,8 +313,8 @@ impl StreamingSession {
         for tr in transitions {
             if tr.state == BreakerState::Open {
                 self.origin_stats.breaker_opens += 1;
-                self.metrics.inc("breaker_opens");
-                self.ts_inc(now, "breaker_opens");
+                self.metrics.inc(Metric::BreakerOpens);
+                self.ts_inc(now, Metric::BreakerOpens);
             }
             let (origin, state, failures) = (tr.origin, tr.state.name(), u64::from(tr.failures));
             self.tracer.emit_with(now, || TraceEvent::OriginHealth {
@@ -329,7 +332,7 @@ impl StreamingSession {
         let (origin, transitions) = self.pool.as_mut()?.route(now);
         self.emit_health(now, &transitions);
         self.origin_stats.routed += 1;
-        self.metrics.inc("origin_routed");
+        self.metrics.inc(Metric::OriginRouted);
         self.tracer.emit_with(now, || TraceEvent::OriginRouted {
             chunk,
             origin,
@@ -420,7 +423,7 @@ impl StreamingSession {
                     let enabled = control.mp_dash_enable(now, size, window).to_vec();
                     self.apply_enabled(&enabled);
                     deadline = Some(window);
-                    self.metrics.inc("deadline_granted");
+                    self.metrics.inc(Metric::DeadlineGranted);
                     self.tracer.emit_with(now, || TraceEvent::DeadlineGranted {
                         chunk: index,
                         size,
@@ -430,7 +433,7 @@ impl StreamingSession {
                 DeadlineDecision::Bypass => {
                     let enabled = control.mp_dash_disable().to_vec();
                     self.apply_enabled(&enabled);
-                    self.metrics.inc("deadline_bypassed");
+                    self.metrics.inc(Metric::DeadlineBypassed);
                     self.tracer
                         .emit_with(now, || TraceEvent::DeadlineBypassed { chunk: index });
                 }
@@ -445,8 +448,8 @@ impl StreamingSession {
             Some(bytes) => {
                 debug_assert_eq!(bytes, size, "a cached segment must match the origin bytes");
                 self.origin_stats.cache_hits += 1;
-                self.metrics.inc("cache_hits");
-                self.ts_inc(now, "cache_hits");
+                self.metrics.inc(Metric::CacheHits);
+                self.ts_inc(now, Metric::CacheHits);
                 self.tracer.emit_with(now, || TraceEvent::Cache {
                     chunk: index,
                     level,
@@ -463,8 +466,8 @@ impl StreamingSession {
             None => {
                 if self.cache.is_some() {
                     self.origin_stats.cache_misses += 1;
-                    self.metrics.inc("cache_misses");
-                    self.ts_inc(now, "cache_misses");
+                    self.metrics.inc(Metric::CacheMisses);
+                    self.ts_inc(now, Metric::CacheMisses);
                     self.tracer.emit_with(now, || TraceEvent::Cache {
                         chunk: index,
                         level,
@@ -536,7 +539,7 @@ impl StreamingSession {
                 // used: the preferred-path estimate versus bytes left in
                 // the window.
                 let wifi_estimate_mbps = control.estimate(0).as_mbps_f64();
-                self.metrics.inc("scheduler_toggles");
+                self.metrics.inc(Metric::SchedulerToggles);
                 if self.tracer.enabled() {
                     let (size, window_s, elapsed_s) = self
                         .current
@@ -575,7 +578,7 @@ impl StreamingSession {
             if !cur.from_cache && cur.size == self.cfg.video.chunk_size(cur.index, cur.level) {
                 cache.insert((cur.index, cur.level), cur.size);
                 self.origin_stats.cache_insertions += 1;
-                self.metrics.inc("cache_insertions");
+                self.metrics.inc(Metric::CacheInsertions);
                 let (chunk, level, bytes) = (cur.index, cur.level, cur.size);
                 self.tracer.emit_with(now, || TraceEvent::Cache {
                     chunk,
@@ -591,18 +594,18 @@ impl StreamingSession {
             self.last_chunk_throughput =
                 Some(Rate::from_mbps_f64(cur.size as f64 * 8.0 / dl / 1e6));
         }
-        self.metrics.inc("chunks_fetched");
+        self.metrics.inc(Metric::ChunksFetched);
         self.metrics
-            .observe("chunk_fetch_ms", fetch.as_millis_f64() as u64);
-        self.metrics.observe("chunk_bytes", cur.size);
-        self.ts_inc(now, "chunks");
+            .observe(Metric::ChunkFetchMs, fetch.as_millis_f64() as u64);
+        self.metrics.observe(Metric::ChunkBytes, cur.size);
+        self.ts_inc(now, Metric::Chunks);
         self.ts_add(
             now,
-            "chunk_bitrate_kbps",
+            Metric::ChunkBitrateKbps,
             self.cfg.video.bitrate(cur.level).as_bps() / 1000,
         );
         if self.chunks.last().is_some_and(|p| p.level != cur.level) {
-            self.ts_inc(now, "switches");
+            self.ts_inc(now, Metric::Switches);
         }
         self.tracer.emit_with(now, || TraceEvent::ChunkFetched {
             chunk: cur.index,
@@ -614,15 +617,15 @@ impl StreamingSession {
             let margin = window.as_secs_f64() - dl;
             let chunk = cur.index;
             if margin >= 0.0 {
-                self.metrics.inc("deadline_hits");
-                self.ts_inc(now, "deadline_hits");
+                self.metrics.inc(Metric::DeadlineHits);
+                self.ts_inc(now, Metric::DeadlineHits);
                 self.tracer.emit_with(now, || TraceEvent::DeadlineHit {
                     chunk,
                     margin_s: margin,
                 });
             } else {
-                self.metrics.inc("deadline_misses");
-                self.ts_inc(now, "deadline_misses");
+                self.metrics.inc(Metric::DeadlineMisses);
+                self.ts_inc(now, Metric::DeadlineMisses);
                 self.tracer.emit_with(now, || TraceEvent::DeadlineMissed {
                     chunk,
                     overrun_s: -margin,
@@ -728,8 +731,8 @@ impl StreamingSession {
         // Everything the loser delivered duplicates bytes the winner
         // already provided.
         self.lifecycle.wasted_bytes += delivered;
-        self.metrics.add("wasted_bytes", delivered);
-        self.ts_add(now, "wasted_bytes", delivered);
+        self.metrics.add(Metric::WastedBytes, delivered);
+        self.ts_add(now, Metric::WastedBytes, delivered);
         self.tracer
             .emit_with(now, || TraceEvent::HedgeLoserSettled {
                 chunk,
@@ -743,7 +746,7 @@ impl StreamingSession {
         let origin = self.current.as_ref().expect("error without a chunk").origin;
         self.origin_outcome(now, origin, false);
         let cur = self.current.as_mut().expect("error without a chunk");
-        self.metrics.inc("request_errors");
+        self.metrics.inc(Metric::RequestErrors);
         match cur.tracker.on_error(now) {
             LifecycleAction::Retry {
                 at,
@@ -752,8 +755,8 @@ impl StreamingSession {
             } => {
                 let chunk = cur.index;
                 self.lifecycle.retried += 1;
-                self.metrics.inc("requests_retried");
-                self.ts_inc(now, "retries");
+                self.metrics.inc(Metric::RequestsRetried);
+                self.ts_inc(now, Metric::Retries);
                 self.tracer.emit_with(now, || TraceEvent::RequestRetried {
                     chunk,
                     attempt: attempt as u64,
@@ -780,10 +783,10 @@ impl StreamingSession {
         let final_received = cur.received_base + request_received;
         let acct = cur.tracker.on_aborted(final_received);
         self.lifecycle.wasted_bytes += acct.wasted;
-        self.metrics.add("wasted_bytes", acct.wasted);
+        self.metrics.add(Metric::WastedBytes, acct.wasted);
         // Field access, not `ts_add`: `cur` keeps `self.current` borrowed.
         if let Some(ts) = self.telemetry.as_mut() {
-            ts.series.add(now, "wasted_bytes", acct.wasted);
+            ts.series.add(now, Metric::WastedBytes, acct.wasted);
         }
         let resume_from = acct.resume_from;
 
@@ -822,7 +825,7 @@ impl StreamingSession {
         if let (Some(prev), Some(new)) = (prev_origin, new_origin) {
             if prev != new {
                 self.origin_stats.failovers += 1;
-                self.metrics.inc("origin_failovers");
+                self.metrics.inc(Metric::OriginFailovers);
             }
         }
         let cur = self.current.as_mut().expect("abort without a chunk");
@@ -836,8 +839,8 @@ impl StreamingSession {
         cur.last_progress = now;
         cur.tracker.on_resumed(now, size);
         self.lifecycle.resumed += 1;
-        self.metrics.inc("requests_resumed");
-        self.ts_inc(now, "resumes");
+        self.metrics.inc(Metric::RequestsResumed);
+        self.ts_inc(now, Metric::Resumes);
         self.tracer.emit_with(now, || TraceEvent::RequestResumed {
             chunk: index,
             from: resume_from,
@@ -880,9 +883,9 @@ impl StreamingSession {
                 cur.cancelling = true;
                 self.lifecycle.timeouts += 1;
                 self.lifecycle.abandoned += 1;
-                self.metrics.inc("request_timeouts");
-                self.metrics.inc("requests_abandoned");
-                self.ts_inc(now, "timeouts");
+                self.metrics.inc(Metric::RequestTimeouts);
+                self.metrics.inc(Metric::RequestsAbandoned);
+                self.ts_inc(now, Metric::Timeouts);
                 let after_s = now.saturating_since(started).as_secs_f64();
                 self.tracer.emit_with(now, || TraceEvent::RequestTimeout {
                     chunk,
@@ -919,7 +922,7 @@ impl StreamingSession {
         if let (Some(prev), Some(new)) = (prev_origin, new_origin) {
             if prev != new {
                 self.origin_stats.failovers += 1;
-                self.metrics.inc("origin_failovers");
+                self.metrics.inc(Metric::OriginFailovers);
             }
         }
         let cur = self.current.as_mut().expect("checked above");
@@ -980,9 +983,9 @@ impl StreamingSession {
             .get_range_from(&mut self.sim, size, from, hedge_origin);
         self.origin_stats.routed += 1;
         self.origin_stats.hedges += 1;
-        self.metrics.inc("origin_routed");
-        self.metrics.inc("hedges");
-        self.ts_inc(now, "hedges");
+        self.metrics.inc(Metric::OriginRouted);
+        self.metrics.inc(Metric::Hedges);
+        self.ts_inc(now, Metric::Hedges);
         self.tracer.emit_with(now, || TraceEvent::OriginRouted {
             chunk,
             origin: hedge_origin,
@@ -1025,10 +1028,10 @@ impl StreamingSession {
         cur.tracker.on_resumed(now, size);
         let (chunk, primary, hedge_origin) = (cur.index, race.primary_origin, race.hedge_origin);
         self.lifecycle.wasted_bytes += wasted;
-        self.metrics.add("wasted_bytes", wasted);
+        self.metrics.add(Metric::WastedBytes, wasted);
         self.origin_stats.hedge_wins_hedge += 1;
-        self.metrics.inc("hedge_wins_hedge");
-        self.ts_add(now, "wasted_bytes", wasted);
+        self.metrics.inc(Metric::HedgeWinsHedge);
+        self.ts_add(now, Metric::WastedBytes, wasted);
         self.tracer.emit_with(now, || TraceEvent::Hedge {
             chunk,
             origin: primary,
@@ -1056,7 +1059,7 @@ impl StreamingSession {
         self.http.cancel(&mut self.sim, race.hedge_req);
         self.pending_losers.push((race.hedge_req, chunk));
         self.origin_stats.hedge_wins_primary += 1;
-        self.metrics.inc("hedge_wins_primary");
+        self.metrics.inc(Metric::HedgeWinsPrimary);
         self.tracer.emit_with(now, || TraceEvent::Hedge {
             chunk,
             origin: race.primary_origin,
@@ -1091,8 +1094,8 @@ impl StreamingSession {
         self.player.depart();
         let watched = now.saturating_since(self.player.origin());
         let chunks = self.player.chunks_downloaded() as u64;
-        self.metrics.inc("departed");
-        self.ts_inc(now, "departures");
+        self.metrics.inc(Metric::Departed);
+        self.ts_inc(now, Metric::Departures);
         self.tracer.emit_with(now, || TraceEvent::SessionDeparted {
             watched_s: watched.as_secs_f64(),
             chunks,
@@ -1105,7 +1108,7 @@ impl StreamingSession {
     pub fn mark_shed(&mut self) {
         self.departed = true;
         self.player.depart();
-        self.metrics.inc("shed");
+        self.metrics.inc(Metric::Shed);
     }
 
     /// Hedge accounting counters for the runtime watchdog:
@@ -1278,20 +1281,20 @@ impl StreamingSession {
         // snapshot is self-contained (counters registered during the run
         // keep their earlier positions).
         self.metrics
-            .add("scheduler_toggle_total", scheduler_stats.toggles);
+            .add(Metric::SchedulerToggleTotal, scheduler_stats.toggles);
         self.metrics
-            .add("subflow_failures", degradation.subflow_failures);
+            .add(Metric::SubflowFailures, degradation.subflow_failures);
         self.metrics
-            .add("subflow_revivals", degradation.subflow_revivals);
-        self.metrics.add("stalls", self.player.stalls());
+            .add(Metric::SubflowRevivals, degradation.subflow_revivals);
+        self.metrics.add(Metric::Stalls, self.player.stalls());
         self.metrics
-            .add("lifecycle_timeouts", self.lifecycle.timeouts);
+            .add(Metric::LifecycleTimeouts, self.lifecycle.timeouts);
         self.metrics
-            .add("lifecycle_abandoned", self.lifecycle.abandoned);
+            .add(Metric::LifecycleAbandoned, self.lifecycle.abandoned);
         self.metrics
-            .add("lifecycle_resumed", self.lifecycle.resumed);
+            .add(Metric::LifecycleResumed, self.lifecycle.resumed);
         self.metrics
-            .add("lifecycle_retried", self.lifecycle.retried);
+            .add(Metric::LifecycleRetried, self.lifecycle.retried);
         self.tracer.flush();
 
         let qoe = QoeSummary::from_player(&self.cfg.video, &self.player, 0.2);
@@ -1574,9 +1577,12 @@ mod tests {
         assert!(off.epochs.is_none());
         let series = on.epochs.expect("telemetry was enabled");
         // Per-epoch deltas sum exactly to the whole-session totals.
-        assert_eq!(series.counter_total("wifi_bytes"), on.wifi_bytes);
-        assert_eq!(series.counter_total("cell_bytes"), on.cell_bytes);
-        assert_eq!(series.counter_total("chunks"), on.qoe_all.chunks as u64);
+        assert_eq!(series.counter_total(Metric::WifiBytes), on.wifi_bytes);
+        assert_eq!(series.counter_total(Metric::CellBytes), on.cell_bytes);
+        assert_eq!(
+            series.counter_total(Metric::Chunks),
+            on.qoe_all.chunks as u64
+        );
         assert!(series.n_epochs() > 1, "a session spans several epochs");
         // The composite QoE score is telemetry-independent.
         assert_eq!(off.qoe_score, on.qoe_score);

@@ -820,7 +820,10 @@ fn parse_telemetry(v: Option<&Json>) -> Result<Option<TelemetrySpec>, String> {
     TelemetrySpec::try_seconds(epoch_s)
         .map(Some)
         .ok_or_else(|| {
-            format!("telemetry 'epoch_s' must be a positive number of at least 1 ns, got {epoch_s}")
+            format!(
+                "telemetry 'epoch_s' must be a positive number of at least 0.001 (1 ms), \
+                 got {epoch_s}"
+            )
         })
 }
 
@@ -1742,9 +1745,13 @@ mod tests {
         let err =
             Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 1e-12},"#)).unwrap_err();
         assert!(err.contains("'epoch_s'"), "{err}");
-        // Half a nanosecond rounds up to 1 ns: the smallest usable epoch.
-        let sc = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 5e-10},"#)).unwrap();
-        assert_eq!(sc.telemetry.unwrap().epoch, SimDuration::from_nanos(1));
+        // A series is dense from epoch 0, so sub-millisecond epochs are
+        // refused before they can ask for billions of cells.
+        let err =
+            Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 5e-10},"#)).unwrap_err();
+        assert!(err.contains("'epoch_s'") && err.contains("1 ms"), "{err}");
+        let sc = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 0.001},"#)).unwrap();
+        assert_eq!(sc.telemetry.unwrap().epoch, SimDuration::from_millis(1));
     }
 
     const CHURN_PATCH: &str = r#""fleet": {

@@ -19,7 +19,7 @@
 use crate::scenario::Scenario;
 use mpdash_dash::QoeScore;
 use mpdash_fleet::{run_checked, FleetConfig};
-use mpdash_obs::{EpochSeries, InvariantViolation, TelemetrySpec};
+use mpdash_obs::{EpochSeries, InvariantViolation, Metric, TelemetrySpec};
 use mpdash_results::{artifact_dir, Json};
 use mpdash_session::{run_batch, Job, JobReport};
 
@@ -172,37 +172,32 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Result<Json, InvariantViolati
     // care about. Shed sessions never arrive, so they don't inflate it.
     let mut active: i64 = 0;
     let rows = all.cells().map(move |(i, c)| {
-        let hits = c.counter("deadline_hits");
-        let misses = c.counter("deadline_misses");
+        let hits = c.counter(Metric::DeadlineHits);
+        let misses = c.counter(Metric::DeadlineMisses);
         let miss_rate = misses as f64 / (hits + misses).max(1) as f64;
-        let cache_hits = c.counter("cache_hits");
-        let cache_misses = c.counter("cache_misses");
+        let cache_hits = c.counter(Metric::CacheHits);
+        let cache_misses = c.counter(Metric::CacheMisses);
         let cache_ratio = cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64;
-        let queue_depth = c
-            .histogram("queue_depth_bytes")
-            .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-            .unwrap_or(0.0);
+        let mean = |m: Metric| {
+            c.histogram(m)
+                .map_or(0.0, |h| h.sum() as f64 / h.count().max(1) as f64)
+        };
+        let queue_depth = mean(Metric::QueueDepthBytes);
         // Mean sojourn of the epoch's departures — bufferbloat over
         // time, and the signal an AQM holds near its target.
-        let queue_wait = c
-            .histogram("queue_wait_ms")
-            .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-            .unwrap_or(0.0);
+        let queue_wait = mean(Metric::QueueWaitMs);
         // PIE's drop probability (parts per million), sampled at each
         // departure; zero on non-AQM fleets, whose series lack the cell.
-        let aqm_prob = c
-            .histogram("aqm_drop_prob_ppm")
-            .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-            .unwrap_or(0.0);
-        let arrivals = c.counter("fleet_arrivals");
-        let departures = c.counter("fleet_departures");
-        let shed = c.counter("fleet_shed");
+        let aqm_prob = mean(Metric::AqmDropProbPpm);
+        let arrivals = c.counter(Metric::FleetArrivals);
+        let departures = c.counter(Metric::FleetDepartures);
+        let shed = c.counter(Metric::FleetShed);
         active += arrivals as i64 - departures as i64;
         let qoe = QoeScore::from_epoch(
-            c.counter("chunks"),
-            c.counter("chunk_bitrate_kbps"),
-            c.counter("switches"),
-            c.counter("stall_ms"),
+            c.counter(Metric::Chunks),
+            c.counter(Metric::ChunkBitrateKbps),
+            c.counter(Metric::Switches),
+            c.counter(Metric::StallMs),
             epoch,
             top_rung_mbps,
         );
@@ -213,11 +208,11 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Result<Json, InvariantViolati
             ("deadline_hits", Json::from(hits)),
             ("deadline_misses", Json::from(misses)),
             ("miss_rate", Json::Float(miss_rate)),
-            ("wifi_bytes", Json::from(c.counter("wifi_bytes"))),
-            ("cell_bytes", Json::from(c.counter("cell_bytes"))),
-            ("chunks", Json::from(c.counter("chunks"))),
-            ("switches", Json::from(c.counter("switches"))),
-            ("stall_ms", Json::from(c.counter("stall_ms"))),
+            ("wifi_bytes", Json::from(c.counter(Metric::WifiBytes))),
+            ("cell_bytes", Json::from(c.counter(Metric::CellBytes))),
+            ("chunks", Json::from(c.counter(Metric::Chunks))),
+            ("switches", Json::from(c.counter(Metric::Switches))),
+            ("stall_ms", Json::from(c.counter(Metric::StallMs))),
             ("cache_hits", Json::from(cache_hits)),
             ("cache_misses", Json::from(cache_misses)),
             ("cache_hit_ratio", Json::Float(cache_ratio)),
@@ -226,11 +221,14 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Result<Json, InvariantViolati
             ("aqm_drop_prob_ppm_mean", Json::Float(aqm_prob)),
             (
                 "shared_dropped_bytes",
-                Json::from(c.counter("shared_dropped_bytes")),
+                Json::from(c.counter(Metric::SharedDroppedBytes)),
             ),
-            ("wasted_bytes", Json::from(c.counter("wasted_bytes"))),
-            ("loop_steps", Json::from(c.counter("loop_steps"))),
-            ("loop_departures", Json::from(c.counter("loop_departures"))),
+            ("wasted_bytes", Json::from(c.counter(Metric::WastedBytes))),
+            ("loop_steps", Json::from(c.counter(Metric::LoopSteps))),
+            (
+                "loop_departures",
+                Json::from(c.counter(Metric::LoopDepartures)),
+            ),
             ("fleet_arrivals", Json::from(arrivals)),
             ("fleet_departures", Json::from(departures)),
             ("fleet_shed", Json::from(shed)),

@@ -2,11 +2,13 @@
 //!
 //! A counting global allocator tallies every heap allocation (fresh
 //! `alloc`, `alloc_zeroed` and every `realloc`) while one field-grid
-//! session and one contended fleet run end to end, set-up and report
-//! included. The steady-state packet path (transport, scheduler, HTTP
-//! framing, streaming session) reuses buffers owned by long-lived structs,
-//! so what remains is amortized growth and per-chunk work: far under one
-//! allocation per simulated event.
+//! session and one contended fleet, with telemetry off and with 1 s
+//! epochs, run end to end, set-up and report included. The steady-state
+//! packet path (transport, scheduler, HTTP framing, streaming session,
+//! epoch rollups keyed by the typed metric catalogue) reuses buffers
+//! owned by long-lived structs, so what remains is amortized growth and
+//! per-chunk or per-epoch work: far under one allocation per simulated
+//! event.
 //!
 //! This binary holds exactly one test so no other test's allocations
 //! land in the tally. Allocation counts are deterministic, so the bound
@@ -20,6 +22,7 @@ use mpdash::dash::video::Video;
 use mpdash::fleet::{run_checked, FleetConfig, SharedLinkSpec};
 use mpdash::link::SharedBottleneckConfig;
 use mpdash::mptcp::SchedulerSpec;
+use mpdash::obs::TelemetrySpec;
 use mpdash::session::{SessionConfig, StreamingSession, TransportMode};
 use mpdash::sim::SimDuration;
 use mpdash::trace::field::field_corpus;
@@ -83,8 +86,9 @@ fn grid_session() -> u64 {
 }
 
 /// The contended fleet: 16 MP-DASH clients with QAware behind a deep
-/// FIFO AP and a cell sector.
-fn contended_fleet() -> u64 {
+/// FIFO AP and a cell sector, with epoch telemetry on every client,
+/// bottleneck and the fleet loop when `telemetry` is set.
+fn contended_fleet(telemetry: Option<TelemetrySpec>) -> u64 {
     let clients = 16;
     let base = SessionConfig::controlled_mbps(
         50.0,
@@ -94,7 +98,7 @@ fn contended_fleet() -> u64 {
     )
     .with_video(bbb(20))
     .with_scheduler(SchedulerSpec::QAware);
-    let cfg = FleetConfig::new(base, clients)
+    let mut cfg = FleetConfig::new(base, clients)
         .with_stagger(SimDuration::from_secs(1))
         .with_rtt_skew(SimDuration::from_millis(10))
         .with_seed(11)
@@ -105,6 +109,9 @@ fn contended_fleet() -> u64 {
         .with_shared(SharedLinkSpec::cell_sector(
             SharedBottleneckConfig::fifo_mbps(2.0 * clients as f64),
         ));
+    if let Some(spec) = telemetry {
+        cfg = cfg.with_telemetry(spec);
+    }
     let report = run_checked(&cfg).expect("fleet invariants hold");
     report
         .sessions
@@ -117,7 +124,11 @@ fn contended_fleet() -> u64 {
 fn hot_path_stays_within_the_allocation_budget() {
     let runs = [
         ("grid session", measure(grid_session)),
-        ("contended fleet", measure(contended_fleet)),
+        ("contended fleet", measure(|| contended_fleet(None))),
+        (
+            "contended fleet, 1 s telemetry",
+            measure(|| contended_fleet(Some(TelemetrySpec::seconds(1.0)))),
+        ),
     ];
     for (name, (allocations, events)) in runs {
         eprintln!(
